@@ -6,6 +6,9 @@ error, 4 analysis error, 5 verification failure.
 Reports are byte-identical across reruns with the same config and seed:
 JSON keys are sorted, floats use repr, and timestamps live only in the
 ``*.meta.json`` sidecar files.
+
+``verify`` and ``report`` simulate one seeded ensemble; the variance-growth
+estimate and the CLT/FCLT tests all read that run.
 """
 
 from __future__ import annotations
@@ -17,8 +20,6 @@ import os
 import sys
 from pathlib import Path
 from typing import Optional
-
-import numpy as np
 
 from . import __version__
 from .decay import decay_report
@@ -36,6 +37,7 @@ from .gordin import coboundary_detect, gordin_decompose
 from .maps import builtin_map
 from .montecarlo import (
     EnsembleConfig,
+    EnsembleRun,
     PathEnsemble,
     run_ensemble,
     sigma_green_kubo,
@@ -133,6 +135,25 @@ def _ensemble_config(args) -> EnsembleConfig:
     )
 
 
+def _n_schedule(n: int) -> list:
+    """The variance-growth checkpoints n/16, n/8, ..., n."""
+    return sorted({max(1, n // 2**k) for k in range(4, -1, -1)})
+
+
+def _density_dat(nu) -> str:
+    """density.dat: one "node value" line per grid node."""
+    return "\n".join(f"{x!r} {v!r}" for x, v in zip(nu.grid.nodes, nu.values)) + "\n"
+
+
+def _decay_dat(decay: dict) -> str:
+    """decay.dat from a decay report's JSON: one "n l1 l2 cesaro" line per n."""
+    return "\n".join(
+        f"{i + 1} {l1!r} {l2!r} {c!r}"
+        for i, (l1, l2, c) in enumerate(zip(decay["l1"], decay["l2"],
+                                            decay["cesaro"]))
+    ) + "\n"
+
+
 def cmd_density(args) -> int:
     imap, nu, _ = _setup(args, need_obs=False)
     payload = {
@@ -142,9 +163,8 @@ def cmd_density(args) -> int:
         "closed_form": nu.closed_form,
         "total_mass": float(nu.masses.sum()),
     }
-    dat = "\n".join(f"{x!r} {v!r}" for x, v in zip(nu.grid.nodes, nu.values)) + "\n"
     _emit(args, "density", payload,
-          {"density.csv": nu.to_csv(), "density.dat": dat})
+          {"density.csv": nu.to_csv(), "density.dat": _density_dat(nu)})
     return EXIT_OK
 
 
@@ -152,12 +172,9 @@ def cmd_decay(args) -> int:
     imap, nu, obs = _setup(args)
     report = decay_report(imap, nu, obs.grid_function, observable=args.obs,
                           n_max=args.n_max)
-    dat_lines = [
-        f"{i + 1} {report.l1[i]!r} {report.l2[i]!r} {report.cesaro[i]!r}"
-        for i in range(report.l1.size)
-    ]
-    _emit(args, "decay", report.to_json(),
-          {"decay.csv": report.to_csv(), "decay.dat": "\n".join(dat_lines) + "\n"})
+    payload = report.to_json()
+    _emit(args, "decay", payload,
+          {"decay.csv": report.to_csv(), "decay.dat": _decay_dat(payload)})
     return EXIT_OK
 
 
@@ -170,19 +187,13 @@ def cmd_gordin(args) -> int:
     return EXIT_OK
 
 
-def _sigma_estimates(imap, nu, obs, args):
-    h = obs.grid_function
-    gk = sigma_green_kubo(imap, nu, h)
-    cfg = _ensemble_config(args)
-    schedule = sorted({max(1, args.n // 2**k) for k in range(4, -1, -1)})
-    vg = sigma_variance_growth(imap, obs, schedule, cfg)
-    gd = gordin_decompose(imap, nu, h)
-    return gk, vg, gd
-
-
 def cmd_sigma(args) -> int:
     imap, nu, obs = _setup(args)
-    gk, vg, gd = _sigma_estimates(imap, nu, obs, args)
+    h = obs.grid_function
+    gk = sigma_green_kubo(imap, nu, h)
+    vg = sigma_variance_growth(imap, obs, _n_schedule(args.n),
+                               _ensemble_config(args))
+    gd = gordin_decompose(imap, nu, h)
     payload = {
         "map": imap.label,
         "observable": args.obs,
@@ -194,39 +205,26 @@ def cmd_sigma(args) -> int:
     return EXIT_OK
 
 
-def _limit_tests(imap, nu, obs, args, sigma: float, sigma_values: dict,
-                 sigma_used: str, run=None, with_fclt: bool = True):
-    """Shared CLT/FCLT test harness over one ensemble run."""
-    h_l2 = lp_norm(obs.grid_function, 2)
-    cfg = _ensemble_config(args)
-    if run is None:
-        stride = cfg.n // args.m if with_fclt and sigma > 0 else 0
-        run = run_ensemble(imap, obs, cfg, path_stride=stride)
+def _limit_tests(imap, obs, args, run: EnsembleRun, sigma: float,
+                 sigma_values: dict, with_fclt: bool = True):
+    """CLT test, and FCLT tests when asked and sigma > 0, over one run."""
     report = LimitTestReport(imap.label, args.obs, sigma=sigma_values,
-                             sigma_used=sigma_used)
-    report.entries.append(clt_test(run.S, cfg.n, sigma, h_l2=h_l2))
-    if with_fclt and sigma > 0:
-        scale = 1.0 / (sigma * np.sqrt(cfg.n))
-        paths = PathEnsemble(
-            times=np.arange(args.m + 1) / args.m,
-            sup=run.sup * scale,
-            terminal=run.S * scale,
-            occupation=run.occupation,
-            n=cfg.n,
-            m=args.m,
-            sigma=sigma,
-        )
-        report.entries.extend(fclt_test(paths))
-        return report, paths
-    return report, None
+                             sigma_used="green_kubo")
+    report.entries.append(
+        clt_test(run.S, run.n, sigma, h_l2=lp_norm(obs.grid_function, 2)))
+    if not (with_fclt and sigma > 0):
+        return report, None
+    paths = PathEnsemble.from_run(run, sigma, args.m)
+    report.entries.extend(fclt_test(paths))
+    return report, paths
 
 
 def cmd_clt(args) -> int:
     imap, nu, obs = _setup(args)
     gk = sigma_green_kubo(imap, nu, obs.grid_function)
-    report, _ = _limit_tests(imap, nu, obs, args, gk.sigma,
-                             {"green_kubo": gk.sigma}, "green_kubo",
-                             with_fclt=False)
+    run = run_ensemble(imap, obs, _ensemble_config(args))
+    report, _ = _limit_tests(imap, obs, args, run, gk.sigma,
+                             {"green_kubo": gk.sigma}, with_fclt=False)
     _emit(args, "clt", report.to_json())
     return EXIT_OK if report.all_pass else EXIT_VERIFY
 
@@ -234,43 +232,37 @@ def cmd_clt(args) -> int:
 def cmd_fclt(args) -> int:
     imap, nu, obs = _setup(args)
     gk = sigma_green_kubo(imap, nu, obs.grid_function)
-    report, paths = _limit_tests(imap, nu, obs, args, gk.sigma,
-                                 {"green_kubo": gk.sigma}, "green_kubo")
+    run = run_ensemble(imap, obs, _ensemble_config(args))
+    report, paths = _limit_tests(imap, obs, args, run, gk.sigma,
+                                 {"green_kubo": gk.sigma})
     csv_files = {"fclt_functionals.csv": paths.functionals_csv()} if paths else None
     _emit(args, "fclt", report.to_json(), csv_files)
     return EXIT_OK if report.all_pass else EXIT_VERIFY
 
 
-def _verify_payload(args) -> dict:
-    imap, nu, obs = _setup(args)
+def _verify_payload(args, imap, nu, obs) -> dict:
+    """Decay, Gordin, sigma estimates and limit tests; the variance-growth
+    estimate and the limit tests read one ensemble run."""
     h = obs.grid_function
     h_l2 = lp_norm(h, 2)
 
     decay = decay_report(imap, nu, h, observable=args.obs)
     gd = gordin_decompose(imap, nu, h)
-    gk, vg, _ = (sigma_green_kubo(imap, nu, h),
-                 sigma_variance_growth(imap, obs,
-                                       sorted({max(1, args.n // 2**k)
-                                               for k in range(4, -1, -1)}),
-                                       _ensemble_config(args)),
-                 None)
+    gk = sigma_green_kubo(imap, nu, h)
+    run = run_ensemble(imap, obs, _ensemble_config(args),
+                       checkpoints=_n_schedule(args.n))
     sigma_values = {
         "green_kubo": gk.sigma,
-        "variance_growth": vg[-1][1],
+        "variance_growth": run.variance_growth()[-1][1],
         "martingale_norm": gd.sigma_mart,
     }
 
     coboundary = None
     if gk.sigma < SIGMA_SMALL_FRACTION * h_l2 or obs.is_declared_coboundary:
         coboundary = coboundary_detect(imap, nu, h)
+    sigma = 0.0 if coboundary is not None and coboundary.is_coboundary else gk.sigma
 
-    if coboundary is not None and coboundary.is_coboundary:
-        sigma, sigma_used = 0.0, "green_kubo"
-    else:
-        sigma, sigma_used = gk.sigma, "green_kubo"
-
-    report, _ = _limit_tests(imap, nu, obs, args, sigma, sigma_values,
-                             sigma_used)
+    report, _ = _limit_tests(imap, obs, args, run, sigma, sigma_values)
     payload = report.to_json()
     payload["decay"] = decay.to_json()
     payload["gordin"] = gd.to_json()
@@ -281,29 +273,23 @@ def _verify_payload(args) -> dict:
 
 
 def cmd_verify(args) -> int:
-    payload = _verify_payload(args)
+    payload = _verify_payload(args, *_setup(args))
     _emit(args, "verify", payload)
     return EXIT_OK if payload["verdict"] else EXIT_VERIFY
 
 
 def cmd_report(args) -> int:
     """Everything at once: density, decay, sigma, verification."""
-    imap, nu, _ = _setup(args, need_obs=False)
-    payload = _verify_payload(args)
+    imap, nu, obs = _setup(args)
+    payload = _verify_payload(args, imap, nu, obs)
     payload["density"] = {
         "measure": nu.name,
         "closed_form": nu.closed_form,
     }
-    dat = "\n".join(f"{x!r} {v!r}" for x, v in zip(nu.grid.nodes, nu.values)) + "\n"
-    dec = payload["decay"]
-    dat_lines = [
-        f"{i + 1} {dec['l1'][i]!r} {dec['l2'][i]!r} {dec['cesaro'][i]!r}"
-        for i in range(len(dec["l1"]))
-    ]
     _emit(args, "report", payload, {
         "density.csv": nu.to_csv(),
-        "density.dat": dat,
-        "decay.dat": "\n".join(dat_lines) + "\n",
+        "density.dat": _density_dat(nu),
+        "decay.dat": _decay_dat(payload["decay"]),
     })
     return EXIT_OK if payload["verdict"] else EXIT_VERIFY
 

@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import FitError, PreconditionError
-from .function_space import GridFunction, MeasureDensity, integrate
+from .function_space import GridFunction, MeasureDensity, require_centered
 from .maps import IntervalMap
 from .transfer import make_backend
 
@@ -33,12 +33,6 @@ DEFAULT_MARGIN = 0.05
 ZERO_NORM_TOL = 1e-6
 
 
-def _require_centered(h: GridFunction):
-    mean = integrate(h)
-    if abs(mean) > 1e-6:
-        raise PreconditionError(f"observable is not centered: mean = {mean:g}")
-
-
 def _weighted_norm(values, masses, p):
     if p == 1:
         return float(np.abs(values) @ masses)
@@ -52,7 +46,7 @@ def norm_decay_sequence(imap: IntervalMap, nu: MeasureDensity, h: GridFunction,
     """[||P^n h||_p for n = 1..n_max]."""
     if n_max < 2:
         raise PreconditionError("n_max must be >= 2")
-    _require_centered(h)
+    require_centered(h)
     op = make_backend(imap, nu, kind=backend)
     masses = op.measure.masses
     out = np.empty(n_max)
@@ -66,7 +60,7 @@ def norm_decay_sequence(imap: IntervalMap, nu: MeasureDensity, h: GridFunction,
 def cesaro_norm_sequence(imap: IntervalMap, nu: MeasureDensity, h: GridFunction,
                          n_max: int, backend: str = "auto") -> np.ndarray:
     """[||sum_{k=0}^{n-1} P^k h||_2 for n = 1..n_max] (k=0 term is h itself)."""
-    _require_centered(h)
+    require_centered(h)
     op = make_backend(imap, nu, kind=backend)
     masses = op.measure.masses
     out = np.empty(n_max)

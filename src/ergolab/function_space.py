@@ -25,7 +25,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import IncompatibleGridsError, InvalidInputError
+from .errors import IncompatibleGridsError, InvalidInputError, PreconditionError
 
 __all__ = [
     "QuadratureGrid",
@@ -273,8 +273,9 @@ class GridFunction:
     __rmul__ = __mul__
 
     def interpolate(self, y):
-        """Piecewise-linear evaluation at arbitrary points (constant beyond
-        the first/last node)."""
+        """Piecewise-linear evaluation at arbitrary points; beyond the
+        first/last node it extrapolates linearly from the boundary pair, with
+        the stencil weight clipped to [-1, 2] (see ``QuadratureGrid.locate``)."""
         j, t = self.grid.locate(y)
         return (1 - t) * self.values[j] + t * self.values[j + 1]
 
@@ -301,6 +302,13 @@ def _check_compatible(f: GridFunction, g: GridFunction):
 def integrate(f: GridFunction) -> float:
     """Quadrature approximation of the integral of f against its measure."""
     return float(f.values @ f.measure.masses)
+
+
+def require_centered(f: GridFunction):
+    """Raise PreconditionError unless f has mean zero (to 1e-6) under its measure."""
+    mean = integrate(f)
+    if abs(mean) > 1e-6:
+        raise PreconditionError(f"observable is not centered: mean = {mean:g}")
 
 
 def lp_norm(f: GridFunction, p) -> float:

@@ -24,7 +24,7 @@ import numpy as np
 
 from .decay import cesaro_norm_sequence
 from .errors import PreconditionError, TruncationError
-from .function_space import GridFunction, MeasureDensity, integrate
+from .function_space import GridFunction, MeasureDensity, require_centered
 from .maps import IntervalMap
 from .transfer import make_backend
 
@@ -42,12 +42,6 @@ ITERATION_CAP = 100_000
 
 def _norm2(values, masses):
     return float(np.sqrt((values**2) @ masses))
-
-
-def _check_centered(h: GridFunction):
-    mean = integrate(h)
-    if abs(mean) > 1e-6:
-        raise PreconditionError(f"observable is not centered: mean = {mean:g}")
 
 
 def _series_length(eps: float, h_norm: float, tail_tol: float) -> int:
@@ -90,7 +84,7 @@ def resolvent(imap: IntervalMap, nu: MeasureDensity, h: GridFunction,
     """Truncated f_eps = sum_{k=1}^K P^(k-1) h / (1+eps)^k."""
     if eps <= 0:
         raise PreconditionError("eps must be positive")
-    _check_centered(h)
+    require_centered(h)
     op = make_backend(imap, nu, kind=backend)
     accs, _ = _resolvent_batch(op, h.values, [eps], tail_tol)
     return h.with_values(accs[0])
@@ -135,7 +129,7 @@ def gordin_decompose(imap: IntervalMap, nu: MeasureDensity, h: GridFunction,
                      backend: str = "auto") -> GordinDecomposition:
     """Run the dyadic schedule eps_k = 2^-k, k = 1..k_max, and collect the
     martingale part estimate h-tilde = h_{eps_(k_max)}."""
-    _check_centered(h)
+    require_centered(h)
     op = make_backend(imap, nu, kind=backend)
     masses = op.measure.masses
     if tail_tol is None:
@@ -206,7 +200,7 @@ def coboundary_detect(imap: IntervalMap, nu: MeasureDensity, h: GridFunction,
                       n_max: int = 256, tol: float = 1e-3,
                       backend: str = "auto") -> CoboundaryResult:
     """Detect h = f o T - f and recover the transfer function f."""
-    _check_centered(h)
+    require_centered(h)
     op = make_backend(imap, nu, kind=backend)
     masses = op.measure.masses
 

@@ -9,6 +9,12 @@ orbits collapse to 0 within ~53 iterations, so the orbit is instead driven
 as an exact binary shift on a queue of fresh random bits, with the state
 reconstructed from the leading 64 bits at every step.
 
+Every mode runs through one accumulation loop: a mode supplies only its
+start (bit-queue words, inverse-CDF points or burned-in points), the map
+from its state to a point, and its advance step.  One run records terminal
+sums, FCLT functionals and variance-growth checkpoints together, so
+``ergolab verify`` simulates its ensemble once.
+
 FCLT path functionals (sup, occupation fraction) are computed from the
 full n-step prefix-sum resolution rather than from the coarse m-point
 path: the coarse-grid laws of both functionals carry an O(m^-1/2) atom at
@@ -26,7 +32,7 @@ from typing import Callable, List, Optional, Sequence
 import numpy as np
 
 from .errors import ConfigurationError, EnsembleRunError, PreconditionError
-from .function_space import GridFunction, MeasureDensity, integrate
+from .function_space import GridFunction, MeasureDensity, require_centered
 from .maps import IntervalMap
 from .transfer import make_backend
 
@@ -82,55 +88,66 @@ class EnsembleConfig:
         return "burn-in-orbit"
 
 
-@dataclass
-class _BatchResult:
-    S: np.ndarray
-    sup: np.ndarray
-    pos: np.ndarray
-    ties: np.ndarray
-    checkpoints: Optional[np.ndarray]
-    paths: Optional[np.ndarray]
-    dropped: int
+def _batches(cfg: EnsembleConfig) -> List[tuple]:
+    """The fixed (batch index, size) layout that keys the sample streams."""
+    return [(bidx, min(cfg.batch_size, cfg.samples - start))
+            for bidx, start in enumerate(range(0, cfg.samples, cfg.batch_size))]
 
 
-def _batch_bitqueue(imap, h, cfg, bidx, size, n, cp, stride):
-    rng = np.random.default_rng([cfg.seed, bidx])
-    state = rng.integers(0, 2**64, size=size, dtype=np.uint64)
-    S = np.zeros(size)
-    sup = np.zeros(size)
-    pos = np.zeros(size, dtype=np.int64)
-    ties = np.zeros(size, dtype=np.int64)
-    cps = np.empty((size, len(cp))) if cp else None
-    paths = np.empty((size, n // stride)) if stride else None
-    cp_pos = {v: i for i, v in enumerate(cp)} if cp else {}
-    one = np.uint64(1)
-    for j in range(n):
-        y = state * 2.0**-64
-        S += h(y)
-        np.maximum(sup, S, out=sup)
-        pos += S > 0
-        ties += S == 0
-        if cp and (j + 1) in cp_pos:
-            cps[:, cp_pos[j + 1]] = S
-        if stride and (j + 1) % stride == 0:
-            paths[:, (j + 1) // stride - 1] = S
-        if j + 1 < n:
-            bit = rng.integers(0, 2, size=size, dtype=np.uint64)
-            state = (state << one) | bit
-    return _BatchResult(S, sup, pos, ties, cps, paths, 0)
-
-
-def _batch_orbit(imap, h, cfg, bidx, size, n, cp, stride, mode):
-    rng = np.random.default_rng([cfg.seed, bidx])
+def _start(imap: IntervalMap, cfg: EnsembleConfig, mode: str, rng, size: int):
+    """A batch's initial orbit states: bit-queue words, inverse-CDF points,
+    or points burned in from Lebesgue measure."""
+    if mode == "bit-queue":
+        return rng.integers(0, 2**64, size=size, dtype=np.uint64)
     a, b = imap.domain
     u = rng.random(size)
     if mode == "inverse-cdf":
-        y = np.asarray(imap.sampler(u), dtype=float)
-    else:
-        y = a + (b - a) * u
-        for _ in range(cfg.burnin):
-            y = imap(np.clip(y, a, b))
-            np.clip(y, a, b, out=y)
+        return np.asarray(imap.sampler(u), dtype=float)
+    y = a + (b - a) * u
+    for _ in range(cfg.burnin):
+        y = imap(np.clip(y, a, b))
+        np.clip(y, a, b, out=y)
+    return y
+
+
+def _stepper(imap: IntervalMap, mode: str):
+    """(point map, advance step) for the orbit states of a sampler mode.
+
+    The bit queue maps a 64-bit word to its point in [0, 1) and advances
+    by shifting in a fresh random bit.  Every other mode holds points and
+    advances by the map; an orbit that escapes the domain is parked at the
+    midpoint and marked dead in ``alive``.
+    """
+    if mode == "bit-queue":
+        one = np.uint64(1)
+
+        def advance(state, rng, alive):
+            bit = rng.integers(0, 2, size=state.size, dtype=np.uint64)
+            return (state << one) | bit
+
+        return (lambda state: state * 2.0**-64), advance
+
+    a, b = imap.domain
+
+    def advance(y, rng, alive):
+        y = imap(np.clip(y, a, b))
+        escaped = (y < a - 1e-12) | (y > b + 1e-12)
+        if np.any(escaped):
+            alive &= ~escaped
+            y = np.where(escaped, 0.5 * (a + b), y)
+        np.clip(y, a, b, out=y)
+        return y
+
+    return (lambda y: y), advance
+
+
+def _run_batch(imap, h, cfg, mode, bidx, size, cp, stride):
+    """One batch's dropped-orbit count and its surviving orbits'
+    (S, sup, pos, ties, checkpoints, paths)."""
+    rng = np.random.default_rng([cfg.seed, bidx])
+    state = _start(imap, cfg, mode, rng, size)
+    point, advance = _stepper(imap, mode)
+    n = cfg.n
     alive = np.ones(size, dtype=bool)
     S = np.zeros(size)
     sup = np.zeros(size)
@@ -138,30 +155,23 @@ def _batch_orbit(imap, h, cfg, bidx, size, n, cp, stride, mode):
     ties = np.zeros(size, dtype=np.int64)
     cps = np.empty((size, len(cp))) if cp else None
     paths = np.empty((size, n // stride)) if stride else None
-    cp_pos = {v: i for i, v in enumerate(cp)} if cp else {}
+    cp_pos = {v: i for i, v in enumerate(cp)}
     for j in range(n):
-        S += h(y)
+        S += h(point(state))
         np.maximum(sup, S, out=sup)
         pos += S > 0
         ties += S == 0
-        if cp and (j + 1) in cp_pos:
+        if (j + 1) in cp_pos:
             cps[:, cp_pos[j + 1]] = S
         if stride and (j + 1) % stride == 0:
             paths[:, (j + 1) // stride - 1] = S
         if j + 1 < n:
-            y = imap(np.clip(y, a, b))
-            escaped = (y < a - 1e-12) | (y > b + 1e-12)
-            if np.any(escaped):
-                alive &= ~escaped
-                y = np.where(escaped, 0.5 * (a + b), y)
-            np.clip(y, a, b, out=y)
+            state = advance(state, rng, alive)
+    arrays = (S, sup, pos, ties, cps, paths)
     dropped = int(size - alive.sum())
     if dropped:
-        keep = alive
-        S, sup, pos, ties = S[keep], sup[keep], pos[keep], ties[keep]
-        cps = cps[keep] if cps is not None else None
-        paths = paths[keep] if paths is not None else None
-    return _BatchResult(S, sup, pos, ties, cps, paths, dropped)
+        arrays = tuple(None if x is None else x[alive] for x in arrays)
+    return dropped, arrays
 
 
 @dataclass
@@ -175,6 +185,11 @@ class EnsembleRun:
     n: int
     dropped: int
 
+    def variance_growth(self) -> List[tuple]:
+        """(n, sqrt(mean(S_n^2) / n)) at each checkpoint."""
+        return [(n, float(np.sqrt(np.mean(self.checkpoints[:, i]**2) / n)))
+                for i, n in enumerate(self.checkpoint_ns or [])]
+
 
 def run_ensemble(imap: IntervalMap, h: Callable, cfg: EnsembleConfig,
                  checkpoints: Optional[Sequence[int]] = None,
@@ -185,67 +200,39 @@ def run_ensemble(imap: IntervalMap, h: Callable, cfg: EnsembleConfig,
     cp = sorted(set(int(c) for c in checkpoints)) if checkpoints else []
     if any(c < 1 or c > n for c in cp):
         raise ConfigurationError("checkpoints must lie in [1, n]")
-    batches = []
-    start = 0
-    bidx = 0
-    while start < cfg.samples:
-        size = min(cfg.batch_size, cfg.samples - start)
-        batches.append((bidx, size))
-        start += size
-        bidx += 1
 
     def work(args):
-        bi, size = args
-        if mode == "bit-queue":
-            return _batch_bitqueue(imap, h, cfg, bi, size, n, cp, path_stride)
-        return _batch_orbit(imap, h, cfg, bi, size, n, cp, path_stride, mode)
+        return _run_batch(imap, h, cfg, mode, *args, cp, path_stride)
 
     if cfg.threads > 1:
         with ThreadPoolExecutor(max_workers=cfg.threads) as ex:
-            results = list(ex.map(work, batches))
+            results = list(ex.map(work, _batches(cfg)))
     else:
-        results = [work(b) for b in batches]
+        results = [work(b) for b in _batches(cfg)]
 
-    dropped = sum(r.dropped for r in results)
+    dropped = sum(d for d, _ in results)
     if dropped > _MAX_DROP_FRACTION * cfg.samples:
         raise EnsembleRunError(
             f"{dropped}/{cfg.samples} orbits escaped the domain"
         )
-    S = np.concatenate([r.S for r in results])
-    sup = np.concatenate([r.sup for r in results])
-    pos = np.concatenate([r.pos for r in results])
-    ties = np.concatenate([r.ties for r in results])
+    S, sup, pos, ties, cps, paths = (
+        None if col[0] is None else np.concatenate(col)
+        for col in zip(*(arrays for _, arrays in results))
+    )
     occ = (pos + 0.5 * ties) / n
-    cps = (np.concatenate([r.checkpoints for r in results])
-           if cp else None)
-    paths = (np.concatenate([r.paths for r in results])
-             if path_stride else None)
     return EnsembleRun(S, sup, occ, cps, cp or None, paths, n, dropped)
 
 
 def sample_invariant(imap: IntervalMap, cfg: EnsembleConfig) -> np.ndarray:
-    """M initial points distributed (approximately) according to nu."""
+    """M initial points distributed (approximately) according to nu: the
+    starting points of ``run_ensemble``'s orbits."""
     mode = cfg.resolved_mode(imap)
-    out = np.empty(cfg.samples)
-    a, b = imap.domain
-    start = 0
-    bidx = 0
-    while start < cfg.samples:
-        size = min(cfg.batch_size, cfg.samples - start)
-        rng = np.random.default_rng([cfg.seed, bidx])
-        u = rng.random(size)
-        if mode == "bit-queue":
-            y = rng.integers(0, 2**64, size=size, dtype=np.uint64) * 2.0**-64
-        elif mode == "inverse-cdf":
-            y = np.asarray(imap.sampler(u), dtype=float)
-        else:
-            y = a + (b - a) * u
-            for _ in range(cfg.burnin):
-                y = np.clip(imap(np.clip(y, a, b)), a, b)
-        out[start:start + size] = y
-        start += size
-        bidx += 1
-    return out
+    point, _ = _stepper(imap, mode)
+    return np.concatenate([
+        point(_start(imap, cfg, mode, np.random.default_rng([cfg.seed, bidx]),
+                     size))
+        for bidx, size in _batches(cfg)
+    ])
 
 
 def birkhoff_ensemble(imap: IntervalMap, h: Callable,
@@ -278,9 +265,7 @@ def sigma_green_kubo(imap: IntervalMap, nu: MeasureDensity, h: GridFunction,
     """sigma^2 = int h^2 dnu + 2 sum_k <P^k h, h> through transfer iterates."""
     if lag_max < 1:
         raise PreconditionError("lag_max must be >= 1")
-    mean = integrate(h)
-    if abs(mean) > 1e-6:
-        raise PreconditionError(f"observable is not centered: mean = {mean:g}")
+    require_centered(h)
     op = make_backend(imap, nu, kind=backend)
     masses = op.measure.masses
     curve = np.empty(lag_max + 1)
@@ -338,12 +323,7 @@ def sigma_variance_growth(imap: IntervalMap, h: Callable, n_list: Sequence[int],
     if n_list[-1] > cfg.n:
         cfg = EnsembleConfig(cfg.samples, n_list[-1], cfg.seed, cfg.burnin,
                              cfg.mode, cfg.batch_size, cfg.threads)
-    run = run_ensemble(imap, h, cfg, checkpoints=n_list)
-    out = []
-    for i, n in enumerate(run.checkpoint_ns):
-        s = run.checkpoints[:, i]
-        out.append((n, float(np.sqrt(np.mean(s**2) / n))))
-    return out
+    return run_ensemble(imap, h, cfg, checkpoints=n_list).variance_growth()
 
 
 @dataclass(frozen=True)
@@ -372,6 +352,27 @@ class PathEnsemble:
         return PathSample(self.times, self.psi[i], float(self.sup[i]),
                           float(self.terminal[i]), float(self.occupation[i]))
 
+    @classmethod
+    def from_run(cls, run: EnsembleRun, sigma: float, m: int) -> "PathEnsemble":
+        """Functionals of ``run`` rescaled by sigma sqrt(n); psi is filled
+        when the run stored paths."""
+        scale = 1.0 / (sigma * np.sqrt(run.n))
+        psi = None
+        if run.paths is not None:
+            psi = np.concatenate(
+                [np.zeros((run.paths.shape[0], 1)), run.paths * scale], axis=1
+            )
+        return cls(
+            times=np.arange(m + 1) / m,
+            sup=run.sup * scale,
+            terminal=run.S * scale,
+            occupation=run.occupation,
+            psi=psi,
+            n=run.n,
+            m=m,
+            sigma=sigma,
+        )
+
     def functionals_csv(self) -> str:
         lines = ["sample_index,sup,terminal,occupation"]
         for i in range(self.sup.size):
@@ -386,8 +387,9 @@ def path_ensemble(imap: IntervalMap, h: Callable, sigma: float,
                   store_paths: bool = False) -> PathEnsemble:
     """Rescaled-path ensemble with sup/terminal/occupation functionals.
 
-    Paths are recorded at t = j/m; the sup and occupation functionals use
-    the full n-step resolution (see module docstring).
+    Paths are recorded at t = j/m when ``store_paths`` is set; the sup and
+    occupation functionals use the full n-step resolution (see module
+    docstring).
     """
     if sigma <= 0:
         raise PreconditionError(
@@ -395,21 +397,6 @@ def path_ensemble(imap: IntervalMap, h: Callable, sigma: float,
         )
     if cfg.n % m != 0:
         raise PreconditionError("path resolution m must divide n")
-    run = run_ensemble(imap, h, cfg, path_stride=cfg.n // m)
-    scale = 1.0 / (sigma * np.sqrt(cfg.n))
-    times = np.arange(m + 1) / m
-    psi = None
-    if store_paths:
-        psi = np.concatenate(
-            [np.zeros((run.paths.shape[0], 1)), run.paths * scale], axis=1
-        )
-    return PathEnsemble(
-        times=times,
-        sup=run.sup * scale,
-        terminal=run.S * scale,
-        occupation=run.occupation,
-        psi=psi,
-        n=cfg.n,
-        m=m,
-        sigma=sigma,
-    )
+    run = run_ensemble(imap, h, cfg,
+                       path_stride=cfg.n // m if store_paths else 0)
+    return PathEnsemble.from_run(run, sigma, m)

@@ -217,13 +217,14 @@ def stationary_vector(ulam: UlamMatrix, tol: float = 1e-12,
     )
 
 
-# Caches keyed by (map label, grid size); maps and grids are immutable.
+# Caches keyed by (map label, grid size), plus the stationary-vector
+# tolerance for Ulam; maps and grids are immutable.
 _ULAM_CACHE: dict = {}
 _OP_CACHE: dict = {}
 
 
 def _cached_ulam(imap: IntervalMap, n_cells: int, tol: float = 1e-12):
-    key = (imap.label, n_cells)
+    key = (imap.label, n_cells, tol)
     if key not in _ULAM_CACHE:
         u = ulam_matrix(imap, n_cells)
         _ULAM_CACHE[key] = (u, stationary_vector(u, tol=tol))

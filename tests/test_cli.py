@@ -118,6 +118,30 @@ def test_verify_passes_on_doubling(capsys):
     assert payload["gordin"]["sigma_mart"] > 0
 
 
+def test_verify_variance_growth_matches_sigma(capsys):
+    argv = ["--map", "doubling", "--obs", "cos1", *FAST]
+    _, sigma = run_cli(capsys, "sigma", *argv)
+    _, verify = run_cli(capsys, "verify", *argv)
+    assert (verify["sigma"]["variance_growth"]
+            == sigma["variance_growth"][-1]["sigma"])
+
+
+def test_report_writes_density_and_decay_data(capsys, tmp_path):
+    argv = ["--map", "doubling", "--obs", "cos1", *FAST]
+    code, payload = run_cli(capsys, "report", *argv,
+                            "--out", str(tmp_path / "report"))
+    assert code == 0
+    assert payload["verdict"] is True
+    for fname in ("report.json", "report.meta.json", "density.csv",
+                  "density.dat", "decay.dat"):
+        assert (tmp_path / "report" / fname).exists()
+    run_cli(capsys, "density", *argv, "--out", str(tmp_path / "density"))
+    run_cli(capsys, "decay", *argv, "--out", str(tmp_path / "decay"))
+    for cmd, fname in (("density", "density.dat"), ("decay", "decay.dat")):
+        assert ((tmp_path / "report" / fname).read_bytes()
+                == (tmp_path / cmd / fname).read_bytes())
+
+
 def test_verify_routes_coboundary_to_degenerate_test(capsys):
     # the sum of a coboundary stays bounded, so S_n / sqrt(n) only drops
     # below the degenerate threshold once n is reasonably large

@@ -77,6 +77,11 @@ def test_checkpoints_and_paths_consistent():
     assert np.allclose(run.checkpoints[:, 1], run.S)
     assert np.allclose(run.paths[:, -1], run.S)
     assert run.paths.shape == (2048, 4)
+    # recording checkpoints and paths leaves the orbits untouched
+    bare = run_ensemble(m, h, _cfg())
+    assert np.array_equal(run.S, bare.S)
+    assert np.array_equal(run.sup, bare.sup)
+    assert np.array_equal(run.occupation, bare.occupation)
 
 
 def test_zero_observable_occupation_convention():
@@ -85,6 +90,15 @@ def test_zero_observable_occupation_convention():
     run = run_ensemble(m, lambda y: np.zeros_like(np.asarray(y, float)), _cfg())
     assert np.allclose(run.occupation, 0.5)
     assert np.allclose(run.sup, 0.0)
+
+
+@pytest.mark.parametrize("spec", ["doubling", "chebyshev:2", "lsv:0.25"])
+def test_sample_invariant_is_the_ensemble_start(spec):
+    # S_1 = h(y0) with h = id: the ensemble starts where sample_invariant says
+    m = builtin_map(spec)
+    cfg = _cfg(n=1, burnin=1000)
+    run = run_ensemble(m, lambda y: y, cfg)
+    assert np.array_equal(run.S, sample_invariant(m, cfg))
 
 
 def test_sample_invariant_uniform():

@@ -49,6 +49,15 @@ def test_invariant_density_lsv_shape():
     assert abs(nu.masses.sum() - 1.0) < 1e-12
 
 
+def test_invariant_density_honours_tol_after_loose_call():
+    # a loose call must not leave its vector behind for a tighter one
+    m = builtin_map("lsv:0.25")
+    invariant_density(m, 200, tol=1e-2)
+    nu = invariant_density(m, 200, tol=1e-13)
+    mt = ulam_matrix(m, 200).matrix.T
+    assert np.abs(mt @ nu.masses - nu.masses).sum() < 1e-10
+
+
 def test_ulam_text_header():
     u = ulam_matrix(builtin_map("doubling"), 16)
     assert u.to_text().startswith("# ulam N=16 map=doubling")
