@@ -27,7 +27,6 @@ from .errors import (
     ParameterError,
     PreconditionError,
     SingularDerivativeError,
-    TruncationError,
 )
 from .function_space import (
     GridFunction,

@@ -30,7 +30,6 @@ from .errors import (
     FitError,
     InvalidInputError,
     ParameterError,
-    TruncationError,
 )
 from .function_space import lp_norm
 from .gordin import coboundary_detect, gordin_decompose
@@ -142,16 +141,15 @@ def _n_schedule(n: int) -> list:
 
 def _density_dat(nu) -> str:
     """density.dat: one "node value" line per grid node."""
-    return "\n".join(f"{x!r} {v!r}" for x, v in zip(nu.grid.nodes, nu.values)) + "\n"
+    return "".join(f"{x!r} {v!r}\n"
+                   for x, v in zip(nu.grid.nodes.tolist(), nu.values.tolist()))
 
 
 def _decay_dat(decay: dict) -> str:
     """decay.dat from a decay report's JSON: one "n l1 l2 cesaro" line per n."""
-    return "\n".join(
-        f"{i + 1} {l1!r} {l2!r} {c!r}"
-        for i, (l1, l2, c) in enumerate(zip(decay["l1"], decay["l2"],
-                                            decay["cesaro"]))
-    ) + "\n"
+    rows = zip(decay["l1"], decay["l2"], decay["cesaro"])
+    return "".join(f"{n} {float(l1)!r} {float(l2)!r} {float(c)!r}\n"
+                   for n, (l1, l2, c) in enumerate(rows, 1))
 
 
 def cmd_density(args) -> int:
@@ -246,7 +244,7 @@ def _verify_payload(args, imap, nu, obs) -> dict:
     h = obs.grid_function
     h_l2 = lp_norm(h, 2)
 
-    decay = decay_report(imap, nu, h, observable=args.obs)
+    decay = decay_report(imap, nu, h, observable=args.obs, n_max=args.n_max)
     gd = gordin_decompose(imap, nu, h)
     gk = sigma_green_kubo(imap, nu, h)
     run = run_ensemble(imap, obs, _ensemble_config(args),
@@ -353,11 +351,13 @@ def main(argv=None) -> int:
             if getattr(args, key, None) is None:
                 setattr(args, key, value)
         _require(args, "map")
+        if args.m < 1:
+            raise ConfigurationError(f"--m must be >= 1, got {args.m}")
         return args.handler(args)
     except (ConfigurationError, ParameterError, InvalidInputError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (ConvergenceError, TruncationError) as exc:
+    except ConvergenceError as exc:
         print(f"convergence error: {exc}", file=sys.stderr)
         return EXIT_CONVERGENCE
     except (FitError, ErgolabError) as exc:

@@ -15,7 +15,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import FitError, PreconditionError
-from .function_space import GridFunction, MeasureDensity, require_centered
+from .function_space import (GridFunction, MeasureDensity, require_centered,
+                             weighted_norm)
 from .maps import IntervalMap
 from .transfer import make_backend
 
@@ -33,12 +34,23 @@ DEFAULT_MARGIN = 0.05
 ZERO_NORM_TOL = 1e-6
 
 
-def _weighted_norm(values, masses, p):
-    if p == 1:
-        return float(np.abs(values) @ masses)
-    if p == 2:
-        return float(np.sqrt((values**2) @ masses))
-    raise FitError(f"unsupported norm exponent {p}")
+def _sweep(imap: IntervalMap, nu: MeasureDensity, h: GridFunction,
+           n_max: int, backend: str):
+    """One pass over P^k h: the backend kind and, for n = 1..n_max,
+    ||P^n h||_1, ||P^n h||_2 and ||sum_{k=0}^{n-1} P^k h||_2."""
+    require_centered(h)
+    op = make_backend(imap, nu, kind=backend)
+    masses = op.measure.masses
+    l1, l2, ces = np.empty(n_max), np.empty(n_max), np.empty(n_max)
+    v = h.values
+    acc = v.copy()
+    for n in range(n_max):
+        ces[n] = weighted_norm(acc, masses, 2)
+        v = op.apply(v)
+        acc += v
+        l1[n] = weighted_norm(v, masses, 1)
+        l2[n] = weighted_norm(v, masses, 2)
+    return op.kind, l1, l2, ces
 
 
 def norm_decay_sequence(imap: IntervalMap, nu: MeasureDensity, h: GridFunction,
@@ -46,32 +58,16 @@ def norm_decay_sequence(imap: IntervalMap, nu: MeasureDensity, h: GridFunction,
     """[||P^n h||_p for n = 1..n_max]."""
     if n_max < 2:
         raise PreconditionError("n_max must be >= 2")
-    require_centered(h)
-    op = make_backend(imap, nu, kind=backend)
-    masses = op.measure.masses
-    out = np.empty(n_max)
-    v = h.values
-    for n in range(n_max):
-        v = op.apply(v)
-        out[n] = _weighted_norm(v, masses, p)
-    return out
+    _, l1, l2, _ = _sweep(imap, nu, h, n_max, backend)
+    if p not in (1, 2):
+        raise FitError(f"unsupported norm exponent {p}")
+    return l1 if p == 1 else l2
 
 
 def cesaro_norm_sequence(imap: IntervalMap, nu: MeasureDensity, h: GridFunction,
                          n_max: int, backend: str = "auto") -> np.ndarray:
     """[||sum_{k=0}^{n-1} P^k h||_2 for n = 1..n_max] (k=0 term is h itself)."""
-    require_centered(h)
-    op = make_backend(imap, nu, kind=backend)
-    masses = op.measure.masses
-    out = np.empty(n_max)
-    v = h.values
-    acc = v.copy()
-    out[0] = _weighted_norm(acc, masses, 2)
-    for n in range(1, n_max):
-        v = op.apply(v)
-        acc += v
-        out[n] = _weighted_norm(acc, masses, 2)
-    return out
+    return _sweep(imap, nu, h, n_max, backend)[3]
 
 
 @dataclass(frozen=True)
@@ -123,19 +119,19 @@ class DecayReport:
             "map": self.map_label,
             "observable": self.observable,
             "backend": self.backend,
-            "l1": list(self.l1),
-            "l2": list(self.l2),
-            "cesaro": list(self.cesaro),
+            "l1": self.l1.tolist(),
+            "l2": self.l2.tolist(),
+            "cesaro": self.cesaro.tolist(),
             "fits": {k: v.to_json() for k, v in self.fits.items() if v is not None},
             "flags": dict(self.flags),
             "diagnostics": dict(self.diagnostics),
         }
 
     def to_csv(self) -> str:
-        lines = ["n,l1,l2,cesaro"]
-        for i in range(self.l1.size):
-            lines.append(f"{i + 1},{self.l1[i]!r},{self.l2[i]!r},{self.cesaro[i]!r}")
-        return "\n".join(lines) + "\n"
+        rows = zip(self.l1.tolist(), self.l2.tolist(), self.cesaro.tolist())
+        return "n,l1,l2,cesaro\n" + "".join(
+            f"{n},{l1!r},{l2!r},{c!r}\n" for n, (l1, l2, c) in enumerate(rows, 1)
+        )
 
 
 def _safe_fit(seq, rng) -> Optional[RateFit]:
@@ -204,10 +200,9 @@ def decay_report(imap: IntervalMap, nu: MeasureDensity, h: GridFunction,
                  observable: str = "h", n_max: int = 64, backend: str = "auto",
                  fit_range=None) -> DecayReport:
     """Full decay diagnostics for one (map, observable) pair."""
-    op = make_backend(imap, nu, kind=backend)
-    l1 = norm_decay_sequence(imap, nu, h, 1, n_max, backend=backend)
-    l2 = norm_decay_sequence(imap, nu, h, 2, n_max, backend=backend)
-    ces = cesaro_norm_sequence(imap, nu, h, n_max, backend=backend)
+    if n_max < 2:
+        raise PreconditionError("n_max must be >= 2")
+    kind, l1, l2, ces = _sweep(imap, nu, h, n_max, backend)
     return classify_conditions(
-        imap.label, observable, op.kind, l1, l2, ces, fit_range=fit_range
+        imap.label, observable, kind, l1, l2, ces, fit_range=fit_range
     )

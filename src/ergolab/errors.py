@@ -37,14 +37,6 @@ class ConvergenceError(ErgolabError):
     """An iterative procedure hit its iteration cap without converging."""
 
 
-class TruncationError(ErgolabError):
-    """A series truncation cannot reach the requested tolerance."""
-
-    def __init__(self, msg, achievable_tol=None):
-        super().__init__(msg)
-        self.achievable_tol = achievable_tol
-
-
 class PreconditionError(ErgolabError):
     """A documented operation precondition was violated."""
 

@@ -19,7 +19,6 @@ In all cases masses are normalized to total mass one.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -33,6 +32,7 @@ __all__ = [
     "GridFunction",
     "integrate",
     "lp_norm",
+    "weighted_norm",
     "inner_product",
 ]
 
@@ -228,12 +228,8 @@ class MeasureDensity:
         return out
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write(f"# measure={self.name} normalized=True\n")
-        buf.write("node,value\n")
-        for x, v in zip(self.grid.nodes, self.values):
-            buf.write(f"{x!r},{v!r}\n")
-        return buf.getvalue()
+        return (f"# measure={self.name} normalized=True\n"
+                + _node_value_csv(self.grid.nodes, self.values))
 
 
 @dataclass(frozen=True)
@@ -280,11 +276,14 @@ class GridFunction:
         return (1 - t) * self.values[j] + t * self.values[j + 1]
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("node,value\n")
-        for x, v in zip(self.grid.nodes, self.values):
-            buf.write(f"{x!r},{v!r}\n")
-        return buf.getvalue()
+        return _node_value_csv(self.grid.nodes, self.values)
+
+
+def _node_value_csv(nodes, values) -> str:
+    """A "node,value" header and one line of plain float reprs per node."""
+    return "node,value\n" + "".join(
+        f"{x!r},{v!r}\n" for x, v in zip(nodes.tolist(), values.tolist())
+    )
 
 
 def _vals(x):
@@ -311,15 +310,20 @@ def require_centered(f: GridFunction):
         raise PreconditionError(f"observable is not centered: mean = {mean:g}")
 
 
+def weighted_norm(values: np.ndarray, masses: np.ndarray, p=2) -> float:
+    """L^p norm of node values against node masses, for p in {1, 2, inf}."""
+    if p == np.inf or p == "inf":
+        return float(np.max(np.abs(values)))
+    if p == 1:
+        return float(np.abs(values) @ masses)
+    if p == 2:
+        return float(np.sqrt((values**2) @ masses))
+    raise InvalidInputError(f"unsupported exponent {p!r}")
+
+
 def lp_norm(f: GridFunction, p) -> float:
     """L^p(nu) norm for p in {1, 2, inf}."""
-    if p == np.inf or p == "inf":
-        return float(np.max(np.abs(f.values)))
-    if p == 1:
-        return float(np.abs(f.values) @ f.measure.masses)
-    if p == 2:
-        return float(np.sqrt((f.values**2) @ f.measure.masses))
-    raise InvalidInputError(f"unsupported exponent {p!r}")
+    return weighted_norm(f.values, f.measure.masses, p)
 
 
 def inner_product(f: GridFunction, g: GridFunction) -> float:

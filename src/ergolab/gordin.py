@@ -1,12 +1,13 @@
 """Resolvent-based martingale decomposition and coboundary detection.
 
 The decomposition writes a centered observable h as a martingale part plus
-a small remainder: with f_e = sum_{k>=1} P^(k-1) h / (1+e)^k (truncated by
-a geometric tail bound) one has h = (1+e) f_e - P f_e, and
-h_e = f_e - U P f_e satisfies P h_e = 0.  Driving e -> 0 along the dyadic
-schedule 2^-k yields the martingale part h-tilde; the Cauchy increments
-||h_e - h_d||_2 are checked against the bound
-(e+d)(||f_e||^2 + ||f_d||^2), which must never be violated.
+a small remainder: f_e solves ((1+e)I - P) f_e = h (BiCGSTAB in L2(nu); a
+residual below e * tail_tol keeps f_e within tail_tol, as P is an L2(nu)
+contraction), and h_e = f_e - U P f_e satisfies P h_e = 0.  Driving e -> 0
+along the dyadic schedule 2^-k, each solve warm-started from the last,
+yields the martingale part h-tilde; the Cauchy increments ||h_e - h_d||_2
+are checked against the bound (e+d)(||f_e||^2 + ||f_d||^2), which must
+never be violated.
 
 Coboundary detection sums the full resolvent at e = 0: if the Cesaro sums
 stay bounded, f-tilde = sum_k P^k h converges, f = P f-tilde, and
@@ -16,15 +17,15 @@ h = f o T - f up to the martingale part; a small algebraic residual
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import List, Optional
 
 import numpy as np
 
 from .decay import cesaro_norm_sequence
-from .errors import PreconditionError, TruncationError
-from .function_space import GridFunction, MeasureDensity, require_centered
+from .errors import ConvergenceError, PreconditionError
+from .function_space import (GridFunction, MeasureDensity, require_centered,
+                             weighted_norm)
 from .maps import IntervalMap
 from .transfer import make_backend
 
@@ -37,57 +38,62 @@ __all__ = [
     "coboundary_detect",
 ]
 
-ITERATION_CAP = 100_000
+MAX_ITERATIONS = 1000  # BiCGSTAB steps (two applications of P each) per solve
 
 
-def _norm2(values, masses):
-    return float(np.sqrt((values**2) @ masses))
-
-
-def _series_length(eps: float, h_norm: float, tail_tol: float) -> int:
-    """Smallest K with ||h||_2 (1+eps)^-K / eps < tail_tol."""
-    if h_norm == 0:
-        return 1
-    k = math.log(h_norm / (eps * tail_tol)) / math.log1p(eps)
-    k = max(1, int(math.ceil(k)))
-    if k > ITERATION_CAP:
-        achievable = h_norm * (1 + eps) ** (-ITERATION_CAP) / eps
-        raise TruncationError(
-            f"resolvent series needs K={k} > {ITERATION_CAP} terms at eps={eps:g}; "
-            f"achievable tolerance {achievable:g}",
-            achievable_tol=achievable,
-        )
-    return k
-
-
-def _resolvent_batch(op, h_values: np.ndarray, eps_list, tail_tol: float):
-    """Truncated resolvent sums for several eps in one sweep of P-iterates."""
+def _solve_resolvent(op, h: np.ndarray, eps: float, x: np.ndarray,
+                     tol: float) -> np.ndarray:
+    """BiCGSTAB for ((1+eps)I - P) x = h in L2(nu), from the guess x, until
+    the recomputed residual ||h - ((1+eps)x - P x)||_2 is at most tol."""
     masses = op.measure.masses
-    h_norm = _norm2(h_values, masses)
-    lengths = [_series_length(e, h_norm, tail_tol) for e in eps_list]
-    k_max = max(lengths)
-    accs = [np.zeros_like(h_values) for _ in eps_list]
-    weights = [1.0 / (1.0 + e) for e in eps_list]  # (1+e)^-k, updated per term
-    g = h_values.copy()  # P^(k-1) h
-    for k in range(1, k_max + 1):
-        for i, e in enumerate(eps_list):
-            if k <= lengths[i]:
-                accs[i] += weights[i] * g
-                weights[i] /= 1.0 + e
-        if k < k_max:
-            g = op.apply(g)
-    return accs, lengths
+
+    def dot(u, v):
+        return float((u * v) @ masses)
+
+    def shifted(v):
+        return (1.0 + eps) * v - op.apply(v)
+
+    x = x.copy()
+    restart = True
+    for _ in range(MAX_ITERATIONS):
+        if restart:  # from the recomputed residual; the updated one drifts
+            r = h - shifted(x)
+            if weighted_norm(r, masses) <= tol:
+                return x
+            r0, p, rho = r, r, dot(r, r)
+        else:
+            rho_next = dot(r0, r)
+            p = r + (rho_next / rho) * (alpha / omega) * (p - omega * v)
+            rho = rho_next
+        v = shifted(p)
+        alpha = rho / dot(r0, v)
+        s = r - alpha * v
+        if weighted_norm(s, masses) <= tol:  # converged at the half step
+            x += alpha * p
+            restart = True
+            continue
+        t = shifted(s)
+        omega = dot(t, s) / dot(t, t)
+        if not (np.isfinite(alpha) and np.isfinite(omega)):
+            raise ConvergenceError(f"BiCGSTAB broke down at eps={eps:g}")
+        x += alpha * p + omega * s
+        r = s - omega * t
+        restart = weighted_norm(r, masses) <= tol
+    raise ConvergenceError(
+        f"resolvent solve missed residual {tol:g} at eps={eps:g} "
+        f"within {MAX_ITERATIONS} iterations"
+    )
 
 
 def resolvent(imap: IntervalMap, nu: MeasureDensity, h: GridFunction,
               eps: float, tail_tol: float, backend: str = "auto") -> GridFunction:
-    """Truncated f_eps = sum_{k=1}^K P^(k-1) h / (1+eps)^k."""
+    """f_eps = ((1+eps)I - P)^-1 h to within tail_tol in L2(nu)."""
     if eps <= 0:
         raise PreconditionError("eps must be positive")
     require_centered(h)
     op = make_backend(imap, nu, kind=backend)
-    accs, _ = _resolvent_batch(op, h.values, [eps], tail_tol)
-    return h.with_values(accs[0])
+    zero = np.zeros_like(h.values)
+    return h.with_values(_solve_resolvent(op, h.values, eps, zero, eps * tail_tol))
 
 
 def martingale_part(imap: IntervalMap, nu: MeasureDensity, h: GridFunction,
@@ -133,21 +139,22 @@ def gordin_decompose(imap: IntervalMap, nu: MeasureDensity, h: GridFunction,
     op = make_backend(imap, nu, kind=backend)
     masses = op.measure.masses
     if tail_tol is None:
-        tail_tol = 1e-6 * max(_norm2(h.values, masses), 1e-30)
+        tail_tol = 1e-6 * max(weighted_norm(h.values, masses), 1e-30)
     eps_list = [2.0**-k for k in range(1, k_max + 1)]
-    f_accs, _ = _resolvent_batch(op, h.values, eps_list, tail_tol)
-
+    f = np.zeros_like(h.values)
     h_parts, f_norms, res_residuals = [], [], []
-    for e, f in zip(eps_list, f_accs):
+    for e in eps_list:
+        # one residual for all e bounds every ||f - f_e||_2 by tail_tol
+        f = _solve_resolvent(op, h.values, e, f, eps_list[-1] * tail_tol)
         pf = op.apply(f)
         h_parts.append(f - op.koopman(pf))
-        f_norms.append(_norm2(f, masses))
-        res_residuals.append(_norm2((1 + e) * f - pf - h.values, masses))
+        f_norms.append(weighted_norm(f, masses))
+        res_residuals.append(weighted_norm((1 + e) * f - pf - h.values, masses))
 
     cauchy, slacks = [], []
     for k in range(1, len(eps_list)):
         d, e = eps_list[k - 1], eps_list[k]
-        diff = _norm2(h_parts[k] - h_parts[k - 1], masses)
+        diff = weighted_norm(h_parts[k] - h_parts[k - 1], masses)
         cauchy.append(diff)
         slacks.append((e + d) * (f_norms[k] ** 2 + f_norms[k - 1] ** 2) - diff**2)
 
@@ -163,13 +170,13 @@ def gordin_decompose(imap: IntervalMap, nu: MeasureDensity, h: GridFunction,
     h_tilde = h.with_values(h_parts[-1])
     return GordinDecomposition(
         eps_schedule=eps_list,
-        f_eps=h.with_values(f_accs[-1]),
+        f_eps=h.with_values(f),
         h_eps=h.with_values(h_parts[-1]),
         h_tilde=h_tilde,
-        martingale_residual=_norm2(op.apply(h_tilde.values), masses),
+        martingale_residual=weighted_norm(op.apply(h_tilde.values), masses),
         cauchy_history=cauchy,
         cauchy_slacks=slacks,
-        sigma_mart=_norm2(h_tilde.values, masses),
+        sigma_mart=weighted_norm(h_tilde.values, masses),
         resolvent_residuals=res_residuals,
         warnings=warnings,
     )
@@ -216,9 +223,9 @@ def coboundary_detect(imap: IntervalMap, nu: MeasureDensity, h: GridFunction,
         g = op.apply(g)
         acc += g
     f_vals = op.apply(acc)
-    residual = _norm2(op.koopman(f_vals) - f_vals - h.values, masses)
+    residual = weighted_norm(op.koopman(f_vals) - f_vals - h.values, masses)
 
-    h_norm = _norm2(h.values, masses)
+    h_norm = weighted_norm(h.values, masses)
     algebra_ok = residual < tol
     if algebra_ok and bounded:
         verdict = "true"

@@ -374,12 +374,11 @@ class PathEnsemble:
         )
 
     def functionals_csv(self) -> str:
-        lines = ["sample_index,sup,terminal,occupation"]
-        for i in range(self.sup.size):
-            lines.append(
-                f"{i},{self.sup[i]!r},{self.terminal[i]!r},{self.occupation[i]!r}"
-            )
-        return "\n".join(lines) + "\n"
+        rows = zip(self.sup.tolist(), self.terminal.tolist(),
+                   self.occupation.tolist())
+        return "sample_index,sup,terminal,occupation\n" + "".join(
+            f"{i},{s!r},{t!r},{o!r}\n" for i, (s, t, o) in enumerate(rows)
+        )
 
 
 def path_ensemble(imap: IntervalMap, h: Callable, sigma: float,

@@ -2,6 +2,7 @@ import json
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -140,6 +141,36 @@ def test_report_writes_density_and_decay_data(capsys, tmp_path):
     for cmd, fname in (("density", "density.dat"), ("decay", "decay.dat")):
         assert ((tmp_path / "report" / fname).read_bytes()
                 == (tmp_path / cmd / fname).read_bytes())
+    # plain float reprs that numeric readers parse
+    density = np.loadtxt(tmp_path / "report" / "density.dat")
+    assert density.shape == (1024, 2)
+    decay = np.loadtxt(tmp_path / "report" / "decay.dat")
+    assert decay.shape == (64, 4)
+    assert decay[:, 2].tolist() == payload["decay"]["l2"]
+    csv = np.loadtxt(tmp_path / "report" / "density.csv", delimiter=",",
+                     skiprows=2)
+    assert np.array_equal(csv, density)
+
+
+def test_verify_honours_n_max(capsys):
+    code, payload = run_cli(
+        capsys, "verify", "--map", "doubling", "--obs", "cos1", *FAST,
+        "--n-max", "32",
+    )
+    assert code == 0
+    for key in ("l1", "l2", "cesaro"):
+        assert len(payload["decay"][key]) == 32
+
+
+@pytest.mark.parametrize("command", ["fclt", "verify"])
+def test_m_below_one_is_config_error(capsys, command):
+    argv = [a if a != "16" else "0" for a in FAST]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, payload = run_cli(capsys, command, "--map", "doubling",
+                                "--obs", "cos1", *argv)
+    assert code == 2
+    assert payload is None
 
 
 def test_verify_routes_coboundary_to_degenerate_test(capsys):

@@ -8,6 +8,7 @@ from ergolab import (
     classify_conditions,
     decay_report,
     fit_polynomial_rate,
+    make_backend,
     norm_decay_sequence,
 )
 from ergolab.errors import FitError, PreconditionError
@@ -100,3 +101,25 @@ def test_report_serialization(doubling, doubling_nu):
     csv = report.to_csv()
     assert csv.splitlines()[0] == "n,l1,l2,cesaro"
     assert len(csv.splitlines()) == len(d["l1"]) + 1
+
+
+def test_one_sweep_equals_separate_passes(lsv25, lsv25_nu):
+    # reference: one pass of P^k h per sequence, as separate loops
+    h = build_observable("lip1", lsv25, lsv25_nu).grid_function
+    op = make_backend(lsv25, lsv25_nu)
+    m = lsv25_nu.masses
+    powers = [h.values]
+    for _ in range(64):
+        powers.append(op.apply(powers[-1]))
+    l1 = [np.abs(v) @ m for v in powers[1:]]
+    l2 = [np.sqrt((v**2) @ m) for v in powers[1:]]
+    acc, ces = np.zeros_like(h.values), []
+    for v in powers[:-1]:
+        acc += v
+        ces.append(np.sqrt((acc**2) @ m))
+    report = decay_report(lsv25, lsv25_nu, h)
+    assert report.l1.tolist() == l1
+    assert report.l2.tolist() == l2
+    assert report.cesaro.tolist() == ces
+    assert norm_decay_sequence(lsv25, lsv25_nu, h, 2, 64).tolist() == l2
+    assert cesaro_norm_sequence(lsv25, lsv25_nu, h, 64).tolist() == ces

@@ -6,11 +6,31 @@ from ergolab import (
     build_observable,
     coboundary_detect,
     gordin_decompose,
+    lp_norm,
+    make_backend,
     martingale_part,
+    resolve_measure,
     resolvent,
     sigma_green_kubo,
 )
-from ergolab.errors import PreconditionError
+from ergolab.errors import ConvergenceError, PreconditionError
+
+
+@pytest.fixture(scope="module")
+def lsv25_1024(lsv25):
+    nu = resolve_measure(lsv25, lsv25.default_grid(1024))
+    return nu, build_observable("lip1", lsv25, nu).grid_function
+
+
+def _series_resolvent(op, h, eps, tol):
+    """sum_{k=1}^K P^(k-1) h / (1+eps)^k, with the tail
+    ||h||_2 (1+eps)^-K / eps below tol."""
+    k_max = int(np.ceil(np.log(lp_norm(h, 2) / (eps * tol)) / np.log1p(eps)))
+    acc, g = np.zeros_like(h.values), h.values
+    for k in range(1, k_max + 1):
+        acc += g / (1 + eps) ** k
+        g = op.apply(g)
+    return acc
 
 
 def test_resolvent_hand_expansion(doubling, doubling_nu):
@@ -37,6 +57,22 @@ def test_resolvent_identity(doubling, doubling_nu):
     op = make_backend(doubling, doubling_nu)
     resid = (1 + eps) * f_eps.values - op.apply(f_eps.values) - h.values
     assert np.sqrt((resid**2) @ doubling_nu.masses) < 1e-8
+
+
+@pytest.mark.parametrize("eps", [0.5, 2.0**-6])
+def test_resolvent_matches_series(lsv25, lsv25_1024, eps):
+    nu, h = lsv25_1024
+    tail_tol = 1e-12 * lp_norm(h, 2)
+    f_eps = resolvent(lsv25, nu, h, eps, tail_tol=tail_tol)
+    series = h.with_values(
+        _series_resolvent(make_backend(lsv25, nu), h, eps, tail_tol))
+    assert lp_norm(f_eps - series, 2) <= 1e-8 * lp_norm(series, 2)
+
+
+def test_gordin_unreachable_tolerance_is_convergence_error(lsv25, lsv25_1024):
+    nu, h = lsv25_1024
+    with pytest.raises(ConvergenceError):
+        gordin_decompose(lsv25, nu, h, tail_tol=1e-30)
 
 
 def test_resolvent_rejects_nonpositive_eps(doubling, doubling_nu):
@@ -75,6 +111,10 @@ def test_gordin_decompose_lsv(lsv25, lsv25_nu):
     assert gd.martingale_residual < 5e-3
     assert min(gd.cauchy_slacks) > -1e-8
     assert max(gd.resolvent_residuals) < 1e-8
+    # the solve stops at the residual that bounds ||f - f_e||_2 by tail_tol
+    # for every eps down to 2^-12
+    tail_tol = 1e-6 * lp_norm(h, 2)
+    assert all(r <= 2**-12 * tail_tol for r in gd.resolvent_residuals)
     d = gd.to_json()
     assert len(d["cauchy_history"]) == 11
     assert len(d["cauchy_bound_slacks"]) == 11
