@@ -49,13 +49,10 @@ from .montecarlo import (
     EnsembleConfig,
     GreenKuboResult,
     PathEnsemble,
-    PathSample,
-    birkhoff_ensemble,
     path_ensemble,
     run_ensemble,
     sample_invariant,
     sigma_green_kubo,
-    sigma_green_kubo_mc,
     sigma_variance_growth,
 )
 from .observables import Observable, build_observable, parse_expression

@@ -10,8 +10,7 @@ mass to the same nodes; integration of f against the measure is then
 Masses are computed three ways, in decreasing order of accuracy:
 
 * exactly from a closed-form CDF (cell mass = F(right) - F(left));
-* from density values times cell widths, with an optional power-law
-  correction for an integrable singularity at the left endpoint;
+* from density values times cell widths;
 * directly, when the measure comes out of an Ulam fixed-vector computation.
 
 In all cases masses are normalized to total mass one.
@@ -19,7 +18,7 @@ In all cases masses are normalized to total mass one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -45,7 +44,6 @@ class QuadratureGrid:
     b: float
     nodes: np.ndarray
     weights: np.ndarray
-    degree: int = 1  # polynomial degree integrated exactly w.r.t. Lebesgue
 
     def __post_init__(self):
         nodes = np.asarray(self.nodes, dtype=float)
@@ -83,10 +81,6 @@ class QuadratureGrid:
     @property
     def size(self) -> int:
         return self.nodes.size
-
-    @property
-    def cell_width(self) -> float:
-        return float(self.weights[0])
 
     def cell_edges(self) -> np.ndarray:
         return np.concatenate(
@@ -142,7 +136,6 @@ class MeasureDensity:
     pdf: Optional[Callable] = None
     cdf: Optional[Callable] = None
     sampler: Optional[Callable] = None  # inverse-CDF sampler, U(0,1) -> Y
-    left_power_law: Optional[tuple] = field(default=None, repr=False)
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
@@ -164,25 +157,13 @@ class MeasureDensity:
         name: str,
         cdf: Optional[Callable] = None,
         sampler: Optional[Callable] = None,
-        singular_left: bool = False,
     ) -> "MeasureDensity":
         values = np.asarray(pdf(grid.nodes), dtype=float)
-        left_pl = None
         if cdf is not None:
             edges = grid.cell_edges()
             masses = np.diff(np.asarray(cdf(edges), dtype=float))
         else:
             masses = values * grid.weights
-            if singular_left:
-                # Midpoint under-resolves an integrable cusp at the left
-                # endpoint; replace the first-cell mass by the integral of a
-                # local power-law fit.
-                c, g = _fit_left_power_law(grid.nodes, values)
-                if 0 < g < 1:
-                    r0 = grid.cell_edges()[1]
-                    masses = masses.copy()
-                    masses[0] = c * r0 ** (1.0 - g) / (1.0 - g)
-                    left_pl = (c, g)
         masses = masses / masses.sum()
         return cls(
             grid,
@@ -193,7 +174,6 @@ class MeasureDensity:
             pdf=pdf,
             cdf=cdf,
             sampler=sampler,
-            left_power_law=left_pl,
         )
 
     @classmethod
@@ -291,11 +271,12 @@ def _vals(x):
 
 
 def _check_compatible(f: GridFunction, g: GridFunction):
-    if not f.grid.same_as(g.grid) or f.measure is not g.measure:
-        if not f.grid.same_as(g.grid) or not np.array_equal(
-            f.measure.masses, g.measure.masses
-        ):
-            raise IncompatibleGridsError("grid functions are not compatible")
+    """Raise unless f and g share a grid and a measure, or equal masses."""
+    if not f.grid.same_as(g.grid) or (
+        f.measure is not g.measure
+        and not np.array_equal(f.measure.masses, g.measure.masses)
+    ):
+        raise IncompatibleGridsError("grid functions are not compatible")
 
 
 def integrate(f: GridFunction) -> float:

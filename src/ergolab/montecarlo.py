@@ -25,6 +25,7 @@ At full resolution the gap is ~1e-2 and the reference laws apply.
 
 from __future__ import annotations
 
+import dataclasses
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence
@@ -38,20 +39,19 @@ from .transfer import make_backend
 
 __all__ = [
     "EnsembleConfig",
-    "PathSample",
     "PathEnsemble",
     "GreenKuboResult",
     "EnsembleRun",
     "run_ensemble",
     "sample_invariant",
-    "birkhoff_ensemble",
     "sigma_green_kubo",
-    "sigma_green_kubo_mc",
     "sigma_variance_growth",
     "path_ensemble",
 ]
 
 _MAX_DROP_FRACTION = 1e-3
+BATCH_SIZE = 4096  # the batch layout keys the random streams (see _batches)
+MIN_BURNIN = 1000
 
 
 @dataclass(frozen=True)
@@ -60,8 +60,6 @@ class EnsembleConfig:
     n: int
     seed: int
     burnin: int = 10_000
-    mode: str = "auto"  # auto | inverse-cdf | burn-in-orbit | bit-queue
-    batch_size: int = 4096
     threads: int = 1
 
     def __post_init__(self):
@@ -69,29 +67,26 @@ class EnsembleConfig:
             raise ConfigurationError("need at least 100 samples")
         if self.n < 1:
             raise ConfigurationError("Birkhoff length must be >= 1")
-        if self.mode not in ("auto", "inverse-cdf", "burn-in-orbit", "bit-queue"):
-            raise ConfigurationError(f"unknown sampler mode {self.mode!r}")
-        if self.mode == "burn-in-orbit" and self.burnin < 1000:
-            raise ConfigurationError("burn-in-orbit mode needs burnin >= 1000")
 
     def resolved_mode(self, imap: IntervalMap) -> str:
-        if self.mode != "auto":
-            if self.mode == "bit-queue" and imap.name != "doubling":
-                raise ConfigurationError("bit-queue mode is doubling-only")
-            if self.mode == "inverse-cdf" and imap.sampler is None:
-                raise ConfigurationError(f"{imap.label} carries no sampler")
-            return self.mode
+        """The sampler for ``imap``: the bit queue for doubling, inverse-CDF
+        points when the map carries a sampler, burned-in orbits otherwise."""
         if imap.name == "doubling":
             return "bit-queue"
         if imap.sampler is not None:
             return "inverse-cdf"
+        if self.burnin < MIN_BURNIN:
+            raise ConfigurationError(
+                f"{imap.label} starts its orbits by burn-in, which needs "
+                f"burnin >= {MIN_BURNIN}, got {self.burnin}"
+            )
         return "burn-in-orbit"
 
 
 def _batches(cfg: EnsembleConfig) -> List[tuple]:
     """The fixed (batch index, size) layout that keys the sample streams."""
-    return [(bidx, min(cfg.batch_size, cfg.samples - start))
-            for bidx, start in enumerate(range(0, cfg.samples, cfg.batch_size))]
+    return [(bidx, min(BATCH_SIZE, cfg.samples - start))
+            for bidx, start in enumerate(range(0, cfg.samples, BATCH_SIZE))]
 
 
 def _start(imap: IntervalMap, cfg: EnsembleConfig, mode: str, rng, size: int):
@@ -141,9 +136,9 @@ def _stepper(imap: IntervalMap, mode: str):
     return (lambda y: y), advance
 
 
-def _run_batch(imap, h, cfg, mode, bidx, size, cp, stride):
+def _run_batch(imap, h, cfg, mode, bidx, size, cp):
     """One batch's dropped-orbit count and its surviving orbits'
-    (S, sup, pos, ties, checkpoints, paths)."""
+    (S, sup, pos, ties, checkpoints)."""
     rng = np.random.default_rng([cfg.seed, bidx])
     state = _start(imap, cfg, mode, rng, size)
     point, advance = _stepper(imap, mode)
@@ -154,7 +149,6 @@ def _run_batch(imap, h, cfg, mode, bidx, size, cp, stride):
     pos = np.zeros(size, dtype=np.int64)
     ties = np.zeros(size, dtype=np.int64)
     cps = np.empty((size, len(cp))) if cp else None
-    paths = np.empty((size, n // stride)) if stride else None
     cp_pos = {v: i for i, v in enumerate(cp)}
     for j in range(n):
         S += h(point(state))
@@ -163,11 +157,9 @@ def _run_batch(imap, h, cfg, mode, bidx, size, cp, stride):
         ties += S == 0
         if (j + 1) in cp_pos:
             cps[:, cp_pos[j + 1]] = S
-        if stride and (j + 1) % stride == 0:
-            paths[:, (j + 1) // stride - 1] = S
         if j + 1 < n:
             state = advance(state, rng, alive)
-    arrays = (S, sup, pos, ties, cps, paths)
+    arrays = (S, sup, pos, ties, cps)
     dropped = int(size - alive.sum())
     if dropped:
         arrays = tuple(None if x is None else x[alive] for x in arrays)
@@ -181,7 +173,6 @@ class EnsembleRun:
     occupation: np.ndarray
     checkpoints: Optional[np.ndarray]
     checkpoint_ns: Optional[List[int]]
-    paths: Optional[np.ndarray]
     n: int
     dropped: int
 
@@ -192,8 +183,7 @@ class EnsembleRun:
 
 
 def run_ensemble(imap: IntervalMap, h: Callable, cfg: EnsembleConfig,
-                 checkpoints: Optional[Sequence[int]] = None,
-                 path_stride: int = 0) -> EnsembleRun:
+                 checkpoints: Optional[Sequence[int]] = None) -> EnsembleRun:
     """Drive M orbits for n steps, accumulating Birkhoff prefix statistics."""
     mode = cfg.resolved_mode(imap)
     n = cfg.n
@@ -202,7 +192,7 @@ def run_ensemble(imap: IntervalMap, h: Callable, cfg: EnsembleConfig,
         raise ConfigurationError("checkpoints must lie in [1, n]")
 
     def work(args):
-        return _run_batch(imap, h, cfg, mode, *args, cp, path_stride)
+        return _run_batch(imap, h, cfg, mode, *args, cp)
 
     if cfg.threads > 1:
         with ThreadPoolExecutor(max_workers=cfg.threads) as ex:
@@ -215,12 +205,12 @@ def run_ensemble(imap: IntervalMap, h: Callable, cfg: EnsembleConfig,
         raise EnsembleRunError(
             f"{dropped}/{cfg.samples} orbits escaped the domain"
         )
-    S, sup, pos, ties, cps, paths = (
+    S, sup, pos, ties, cps = (
         None if col[0] is None else np.concatenate(col)
         for col in zip(*(arrays for _, arrays in results))
     )
     occ = (pos + 0.5 * ties) / n
-    return EnsembleRun(S, sup, occ, cps, cp or None, paths, n, dropped)
+    return EnsembleRun(S, sup, occ, cps, cp or None, n, dropped)
 
 
 def sample_invariant(imap: IntervalMap, cfg: EnsembleConfig) -> np.ndarray:
@@ -233,12 +223,6 @@ def sample_invariant(imap: IntervalMap, cfg: EnsembleConfig) -> np.ndarray:
                      size))
         for bidx, size in _batches(cfg)
     ])
-
-
-def birkhoff_ensemble(imap: IntervalMap, h: Callable,
-                      cfg: EnsembleConfig) -> np.ndarray:
-    """M unscaled Birkhoff sums S_n = sum_{j<n} h(T^j y0)."""
-    return run_ensemble(imap, h, cfg).S
 
 
 @dataclass
@@ -282,38 +266,6 @@ def sigma_green_kubo(imap: IntervalMap, nu: MeasureDensity, h: GridFunction,
     return GreenKuboResult(float(curve[-1]), curve, converged)
 
 
-def sigma_green_kubo_mc(imap: IntervalMap, h: Callable, cfg: EnsembleConfig,
-                        lag_max: int = 256) -> GreenKuboResult:
-    """Monte Carlo correlation fallback: autocovariances of one long orbit.
-
-    Uses cfg.n as the orbit length (after burn-in) and FFT-based
-    autocovariance estimation; noisier than the quadrature route but needs
-    no density at all.
-    """
-    rng = np.random.default_rng([cfg.seed, 0])
-    a, b = imap.domain
-    y = a + (b - a) * rng.random()
-    arr = np.empty(cfg.n)
-    yv = np.asarray(y)
-    for _ in range(cfg.burnin):
-        yv = np.clip(imap(np.clip(yv, a, b)), a, b)
-    for j in range(cfg.n):
-        arr[j] = h(yv)
-        yv = np.clip(imap(np.clip(yv, a, b)), a, b)
-    arr = arr - arr.mean()
-    L = cfg.n
-    nfft = 1 << int(np.ceil(np.log2(2 * L)))
-    fa = np.fft.rfft(arr, nfft)
-    acov = np.fft.irfft(fa * np.conj(fa), nfft)[:lag_max + 1] / L
-    curve = np.empty(lag_max + 1)
-    curve[0] = acov[0]
-    curve[1:] = acov[0] + 2.0 * np.cumsum(acov[1:lag_max + 1])
-    tail = curve[lag_max - lag_max // 4:]
-    level = abs(curve[-1]) if curve[-1] != 0 else 1e-30
-    converged = bool((tail.max() - tail.min()) <= 0.10 * level)
-    return GreenKuboResult(float(curve[-1]), curve, converged)
-
-
 def sigma_variance_growth(imap: IntervalMap, h: Callable, n_list: Sequence[int],
                           cfg: EnsembleConfig) -> List[tuple]:
     """Sample-L2 norms of S_n / sqrt(n) along an increasing n schedule."""
@@ -321,18 +273,8 @@ def sigma_variance_growth(imap: IntervalMap, h: Callable, n_list: Sequence[int],
     if any(b <= a for a, b in zip(n_list, n_list[1:])):
         raise PreconditionError("n_list must be strictly increasing")
     if n_list[-1] > cfg.n:
-        cfg = EnsembleConfig(cfg.samples, n_list[-1], cfg.seed, cfg.burnin,
-                             cfg.mode, cfg.batch_size, cfg.threads)
+        cfg = dataclasses.replace(cfg, n=n_list[-1])
     return run_ensemble(imap, h, cfg, checkpoints=n_list).variance_growth()
-
-
-@dataclass(frozen=True)
-class PathSample:
-    times: np.ndarray
-    psi: np.ndarray
-    sup: float
-    terminal: float
-    occupation: float
 
 
 @dataclass
@@ -341,33 +283,19 @@ class PathEnsemble:
     sup: np.ndarray
     terminal: np.ndarray
     occupation: np.ndarray
-    psi: Optional[np.ndarray] = None  # (M, m+1) when stored
     n: int = 0
     m: int = 0
     sigma: float = 1.0
 
-    def sample(self, i: int) -> PathSample:
-        if self.psi is None:
-            raise PreconditionError("paths were not stored for this ensemble")
-        return PathSample(self.times, self.psi[i], float(self.sup[i]),
-                          float(self.terminal[i]), float(self.occupation[i]))
-
     @classmethod
     def from_run(cls, run: EnsembleRun, sigma: float, m: int) -> "PathEnsemble":
-        """Functionals of ``run`` rescaled by sigma sqrt(n); psi is filled
-        when the run stored paths."""
+        """Functionals of ``run`` rescaled by sigma sqrt(n)."""
         scale = 1.0 / (sigma * np.sqrt(run.n))
-        psi = None
-        if run.paths is not None:
-            psi = np.concatenate(
-                [np.zeros((run.paths.shape[0], 1)), run.paths * scale], axis=1
-            )
         return cls(
             times=np.arange(m + 1) / m,
             sup=run.sup * scale,
             terminal=run.S * scale,
             occupation=run.occupation,
-            psi=psi,
             n=run.n,
             m=m,
             sigma=sigma,
@@ -382,20 +310,13 @@ class PathEnsemble:
 
 
 def path_ensemble(imap: IntervalMap, h: Callable, sigma: float,
-                  cfg: EnsembleConfig, m: int,
-                  store_paths: bool = False) -> PathEnsemble:
-    """Rescaled-path ensemble with sup/terminal/occupation functionals.
-
-    Paths are recorded at t = j/m when ``store_paths`` is set; the sup and
-    occupation functionals use the full n-step resolution (see module
-    docstring).
-    """
+                  cfg: EnsembleConfig, m: int) -> PathEnsemble:
+    """Rescaled-path ensemble with sup/terminal/occupation functionals, at
+    the full n-step resolution (see module docstring)."""
     if sigma <= 0:
         raise PreconditionError(
             "sigma must be positive; for sigma = 0 run coboundary_detect"
         )
     if cfg.n % m != 0:
         raise PreconditionError("path resolution m must divide n")
-    run = run_ensemble(imap, h, cfg,
-                       path_stride=cfg.n // m if store_paths else 0)
-    return PathEnsemble.from_run(run, sigma, m)
+    return PathEnsemble.from_run(run_ensemble(imap, h, cfg), sigma, m)

@@ -165,7 +165,6 @@ class LimitTestReport:
     entries: List[dict] = field(default_factory=list)
     sigma: dict = field(default_factory=dict)  # estimator name -> value
     sigma_used: Optional[str] = None
-    extra: dict = field(default_factory=dict)
 
     @property
     def all_pass(self) -> bool:
@@ -179,5 +178,4 @@ class LimitTestReport:
             "sigma": dict(self.sigma),
             "sigma_used": self.sigma_used,
             "verdict": self.all_pass,
-            **self.extra,
         }

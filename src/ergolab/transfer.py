@@ -18,7 +18,9 @@ Two interchangeable backends realize the transfer operator:
 
 from __future__ import annotations
 
+import hashlib
 import io
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,12 +66,10 @@ class BranchTransferOperator:
 
     kind = "branch"
 
-    def __init__(self, imap: IntervalMap, measure: MeasureDensity,
-                 mean_correction: bool = True):
+    def __init__(self, imap: IntervalMap, measure: MeasureDensity):
         self.imap = imap
         self.measure = measure
         self.grid = measure.grid
-        self.mean_correction = mean_correction
         grid = self.grid
         rho_x = measure.density_at(grid.nodes)
         if np.any(rho_x <= 0):
@@ -102,9 +102,7 @@ class BranchTransferOperator:
 
     def apply(self, values: np.ndarray) -> np.ndarray:
         out = self.matrix @ values
-        if self.mean_correction:
-            out = out + (values @ self._masses - out @ self._masses)
-        return out
+        return out + (values @ self._masses - out @ self._masses)
 
     def koopman(self, values: np.ndarray) -> np.ndarray:
         return self._koopman @ values
@@ -217,18 +215,29 @@ def stationary_vector(ulam: UlamMatrix, tol: float = 1e-12,
     )
 
 
-# Caches keyed by (map label, grid size), plus the stationary-vector
-# tolerance for Ulam; maps and grids are immutable.
-_ULAM_CACHE: dict = {}
-_OP_CACHE: dict = {}
+# LRU caches keyed on content (maps, grids and measures are immutable); one
+# run builds Ulam matrices at N/4, N/2 and N cells.
+_CACHE_SIZE = 8
+_ULAM_CACHE: OrderedDict = OrderedDict()
+_OP_CACHE: OrderedDict = OrderedDict()
+
+
+def _cached(cache: OrderedDict, key, build):
+    if key in cache:
+        cache.move_to_end(key)
+    else:
+        cache[key] = build()
+        if len(cache) > _CACHE_SIZE:
+            cache.popitem(last=False)
+    return cache[key]
 
 
 def _cached_ulam(imap: IntervalMap, n_cells: int, tol: float = 1e-12):
-    key = (imap.label, n_cells, tol)
-    if key not in _ULAM_CACHE:
+    def build():
         u = ulam_matrix(imap, n_cells)
-        _ULAM_CACHE[key] = (u, stationary_vector(u, tol=tol))
-    return _ULAM_CACHE[key]
+        return u, stationary_vector(u, tol=tol)
+
+    return _cached(_ULAM_CACHE, (imap.label, n_cells, tol), build)
 
 
 def invariant_density(imap: IntervalMap, n_cells: int,
@@ -247,16 +256,20 @@ def make_backend(imap: IntervalMap, measure: MeasureDensity, kind: str = "auto")
     branch-sum form for closed-form densities and Ulam otherwise."""
     if kind == "auto":
         kind = "branch" if measure.closed_form else "ulam"
-    key = (imap.label, measure.grid.size, kind, id(measure))
-    if key not in _OP_CACHE:
+    if kind not in ("branch", "ulam"):
+        raise InvalidInputError(f"unknown backend kind {kind!r}")
+
+    def build():
         if kind == "branch":
-            _OP_CACHE[key] = BranchTransferOperator(imap, measure)
-        elif kind == "ulam":
-            u, p = _cached_ulam(imap, measure.grid.size)
-            _OP_CACHE[key] = UlamTransferOperator(imap, u, p, measure.grid)
-        else:
-            raise InvalidInputError(f"unknown backend kind {kind!r}")
-    return _OP_CACHE[key]
+            return BranchTransferOperator(imap, measure)
+        u, p = _cached_ulam(imap, measure.grid.size)
+        return UlamTransferOperator(imap, u, p, measure.grid)
+
+    digest = hashlib.sha256()
+    for arr in (measure.grid.nodes, measure.grid.weights, measure.values,
+                measure.masses):
+        digest.update(arr.tobytes())
+    return _cached(_OP_CACHE, (imap.label, kind, digest.hexdigest()), build)
 
 
 def resolve_measure(imap: IntervalMap, grid: QuadratureGrid) -> MeasureDensity:

@@ -173,6 +173,18 @@ def test_m_below_one_is_config_error(capsys, command):
     assert payload is None
 
 
+def test_burnin_below_floor_is_config_error(capsys):
+    # lsv orbits start by burn-in, which needs --burnin >= 1000
+    argv = ["verify", "--map", "lsv:0.25", "--obs", "lip1", "--cells", "256",
+            "--n", "64", "--samples", "200", "--seed", "1", "--threads", "1"]
+    code, payload = run_cli(capsys, *argv, "--burnin", "10")
+    assert code == 2
+    assert payload is None
+    code, payload = run_cli(capsys, *argv, "--burnin", "1000")
+    assert code in (0, 5)
+    assert payload["schema"] == "ergolab/1"
+
+
 def test_verify_routes_coboundary_to_degenerate_test(capsys):
     # the sum of a coboundary stays bounded, so S_n / sqrt(n) only drops
     # below the degenerate threshold once n is reasonably large

@@ -170,3 +170,35 @@ def test_duality_residual_small_and_refining():
 def test_duality_residual_zero_steps(doubling, doubling_nu):
     f = GridFunction.from_callable(lambda y: y, doubling_nu)
     assert duality_residual(doubling, doubling_nu, f, f, 0) == 0.0
+
+
+def test_operator_cache_is_keyed_on_content():
+    from ergolab import transfer
+
+    m = builtin_map("doubling")
+    transfer._OP_CACHE.clear()
+    for _ in range(20):
+        make_backend(m, resolve_measure(m, m.default_grid(256)))
+    assert len(transfer._OP_CACHE) == 1
+    # the caches are bounded
+    lsv = builtin_map("lsv:0.25")
+    for n in range(16, 16 + 2 * transfer._CACHE_SIZE):
+        make_backend(lsv, invariant_density(lsv, n))
+    assert len(transfer._OP_CACHE) == transfer._CACHE_SIZE
+    assert len(transfer._ULAM_CACHE) == transfer._CACHE_SIZE
+
+
+def test_one_run_builds_each_ulam_matrix_once(monkeypatch):
+    # the observable's N/4 and N/2 means and the N-cell backend all hit
+    from ergolab import build_observable, transfer
+
+    built = []
+    real = transfer.ulam_matrix
+    monkeypatch.setattr(transfer, "ulam_matrix",
+                        lambda imap, n: built.append(n) or real(imap, n))
+    transfer._ULAM_CACHE.clear()
+    m = builtin_map("lsv:0.25")
+    nu = resolve_measure(m, m.default_grid(1024))
+    build_observable("lip1", m, nu)
+    make_backend(m, nu)
+    assert sorted(built) == [256, 512, 1024]
