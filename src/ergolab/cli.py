@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import Optional
 
 from . import __version__
-from .decay import decay_report
+from .decay import MIN_CLASSIFY_N, decay_report
 from .errors import (
     ConfigurationError,
     ConvergenceError,
@@ -83,7 +83,11 @@ def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
         if not hasattr(args, key):
             raise ConfigurationError(f"unknown config key {key!r}")
         if getattr(args, key) is None:
-            setattr(args, key, int(value) if key in _INT_KEYS else value)
+            try:
+                setattr(args, key, int(value) if key in _INT_KEYS else value)
+            except ValueError:
+                raise ConfigurationError(
+                    f"config key {key!r} needs an integer, got {value!r}") from None
     return args
 
 
@@ -114,24 +118,20 @@ def _require(args, *names):
             raise ConfigurationError(f"--{name} is required for this command")
 
 
-def _setup(args, need_obs: bool = True):
+def _setup(args, need_obs: bool = True, ensemble: bool = False):
+    """Map, measure, observable and ensemble config; flags are checked first."""
     imap = builtin_map(args.map)
+    if need_obs:
+        _require(args, "obs")
+    cfg = None
+    if ensemble:
+        _require(args, "seed")
+        cfg = EnsembleConfig(samples=args.samples, n=args.n, seed=args.seed,
+                             burnin=args.burnin, threads=args.threads)
+        cfg.resolved_mode(imap)  # the burn-in floor
     nu = resolve_measure(imap, imap.default_grid(args.cells))
-    if not need_obs:
-        return imap, nu, None
-    _require(args, "obs")
-    return imap, nu, build_observable(args.obs, imap, nu)
-
-
-def _ensemble_config(args) -> EnsembleConfig:
-    _require(args, "seed")
-    return EnsembleConfig(
-        samples=args.samples,
-        n=args.n,
-        seed=args.seed,
-        burnin=args.burnin,
-        threads=args.threads,
-    )
+    obs = build_observable(args.obs, imap, nu) if need_obs else None
+    return imap, nu, obs, cfg
 
 
 def _n_schedule(n: int) -> list:
@@ -153,7 +153,7 @@ def _decay_dat(decay: dict) -> str:
 
 
 def cmd_density(args) -> int:
-    imap, nu, _ = _setup(args, need_obs=False)
+    imap, nu, _, _ = _setup(args, need_obs=False)
     payload = {
         "map": imap.label,
         "cells": args.cells,
@@ -167,7 +167,7 @@ def cmd_density(args) -> int:
 
 
 def cmd_decay(args) -> int:
-    imap, nu, obs = _setup(args)
+    imap, nu, obs, _ = _setup(args)
     report = decay_report(imap, nu, obs.grid_function, observable=args.obs,
                           n_max=args.n_max)
     payload = report.to_json()
@@ -177,7 +177,7 @@ def cmd_decay(args) -> int:
 
 
 def cmd_gordin(args) -> int:
-    imap, nu, obs = _setup(args)
+    imap, nu, obs, _ = _setup(args)
     gd = gordin_decompose(imap, nu, obs.grid_function)
     payload = {"map": imap.label, "observable": args.obs, **gd.to_json()}
     _emit(args, "gordin", payload,
@@ -186,11 +186,10 @@ def cmd_gordin(args) -> int:
 
 
 def cmd_sigma(args) -> int:
-    imap, nu, obs = _setup(args)
+    imap, nu, obs, cfg = _setup(args, ensemble=True)
     h = obs.grid_function
     gk = sigma_green_kubo(imap, nu, h)
-    vg = sigma_variance_growth(imap, obs, _n_schedule(args.n),
-                               _ensemble_config(args))
+    vg = sigma_variance_growth(imap, obs, _n_schedule(args.n), cfg)
     gd = gordin_decompose(imap, nu, h)
     payload = {
         "map": imap.label,
@@ -218,9 +217,9 @@ def _limit_tests(imap, obs, args, run: EnsembleRun, sigma: float,
 
 
 def cmd_clt(args) -> int:
-    imap, nu, obs = _setup(args)
+    imap, nu, obs, cfg = _setup(args, ensemble=True)
     gk = sigma_green_kubo(imap, nu, obs.grid_function)
-    run = run_ensemble(imap, obs, _ensemble_config(args))
+    run = run_ensemble(imap, obs, cfg)
     report, _ = _limit_tests(imap, obs, args, run, gk.sigma,
                              {"green_kubo": gk.sigma}, with_fclt=False)
     _emit(args, "clt", report.to_json())
@@ -228,9 +227,9 @@ def cmd_clt(args) -> int:
 
 
 def cmd_fclt(args) -> int:
-    imap, nu, obs = _setup(args)
+    imap, nu, obs, cfg = _setup(args, ensemble=True)
     gk = sigma_green_kubo(imap, nu, obs.grid_function)
-    run = run_ensemble(imap, obs, _ensemble_config(args))
+    run = run_ensemble(imap, obs, cfg)
     report, paths = _limit_tests(imap, obs, args, run, gk.sigma,
                                  {"green_kubo": gk.sigma})
     csv_files = {"fclt_functionals.csv": paths.functionals_csv()} if paths else None
@@ -238,7 +237,7 @@ def cmd_fclt(args) -> int:
     return EXIT_OK if report.all_pass else EXIT_VERIFY
 
 
-def _verify_payload(args, imap, nu, obs) -> dict:
+def _verify_payload(args, imap, nu, obs, cfg) -> dict:
     """Decay, Gordin, sigma estimates and limit tests; the variance-growth
     estimate and the limit tests read one ensemble run."""
     h = obs.grid_function
@@ -247,8 +246,7 @@ def _verify_payload(args, imap, nu, obs) -> dict:
     decay = decay_report(imap, nu, h, observable=args.obs, n_max=args.n_max)
     gd = gordin_decompose(imap, nu, h)
     gk = sigma_green_kubo(imap, nu, h)
-    run = run_ensemble(imap, obs, _ensemble_config(args),
-                       checkpoints=_n_schedule(args.n))
+    run = run_ensemble(imap, obs, cfg, checkpoints=_n_schedule(args.n))
     sigma_values = {
         "green_kubo": gk.sigma,
         "variance_growth": run.variance_growth()[-1][1],
@@ -271,15 +269,15 @@ def _verify_payload(args, imap, nu, obs) -> dict:
 
 
 def cmd_verify(args) -> int:
-    payload = _verify_payload(args, *_setup(args))
+    payload = _verify_payload(args, *_setup(args, ensemble=True))
     _emit(args, "verify", payload)
     return EXIT_OK if payload["verdict"] else EXIT_VERIFY
 
 
 def cmd_report(args) -> int:
     """Everything at once: density, decay, sigma, verification."""
-    imap, nu, obs = _setup(args)
-    payload = _verify_payload(args, imap, nu, obs)
+    imap, nu, obs, cfg = _setup(args, ensemble=True)
+    payload = _verify_payload(args, imap, nu, obs, cfg)
     payload["density"] = {
         "measure": nu.name,
         "closed_form": nu.closed_form,
@@ -351,8 +349,10 @@ def main(argv=None) -> int:
             if getattr(args, key, None) is None:
                 setattr(args, key, value)
         _require(args, "map")
-        if args.m < 1:
-            raise ConfigurationError(f"--m must be >= 1, got {args.m}")
+        for flag, value, floor in (("--m", args.m, 1),
+                                   ("--n-max", args.n_max, MIN_CLASSIFY_N)):
+            if value < floor:
+                raise ConfigurationError(f"{flag} must be >= {floor}, got {value}")
         return args.handler(args)
     except (ConfigurationError, ParameterError, InvalidInputError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -32,6 +32,7 @@ __all__ = [
 
 DEFAULT_MARGIN = 0.05
 ZERO_NORM_TOL = 1e-6
+MIN_CLASSIFY_N = 32  # shortest sequences classify_conditions accepts
 
 
 def _sweep(imap: IntervalMap, nu: MeasureDensity, h: GridFunction,
@@ -146,8 +147,8 @@ def classify_conditions(map_label: str, observable: str, backend: str,
                         fit_range=None, margin: float = DEFAULT_MARGIN) -> DecayReport:
     """Set pass/fail/unknown flags for the four operator-norm conditions."""
     n_max = l2.size
-    if n_max < 32:
-        raise PreconditionError("classification needs sequences to n_max >= 32")
+    if n_max < MIN_CLASSIFY_N:
+        raise PreconditionError(f"classification needs n_max >= {MIN_CLASSIFY_N}")
     if fit_range is None:
         fit_range = (8, min(64, n_max))
     report = DecayReport(map_label, observable, backend, l1, l2, cesaro)

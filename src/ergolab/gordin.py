@@ -9,10 +9,12 @@ yields the martingale part h-tilde; the Cauchy increments ||h_e - h_d||_2
 are checked against the bound (e+d)(||f_e||^2 + ||f_d||^2), which must
 never be violated.
 
-Coboundary detection sums the full resolvent at e = 0: if the Cesaro sums
-stay bounded, f-tilde = sum_k P^k h converges, f = P f-tilde, and
-h = f o T - f up to the martingale part; a small algebraic residual
-||U f - f - h||_2 together with bounded Cesaro norms flags sigma = 0.
+Coboundary detection solves the Poisson equation (I - P) f-tilde = h, the
+resolvent at e = 0 (centred h lies in the range of I - P), and takes the
+transfer function f = P f-tilde, so that h = f o T - f up to the martingale
+part.  The finite operator always has a solution, so a small algebraic
+residual ||U f - f - h||_2 flags sigma = 0 only together with bounded
+Cesaro norms, the sign that sum_k P^k h itself converges.
 """
 
 from __future__ import annotations
@@ -39,12 +41,15 @@ __all__ = [
 ]
 
 MAX_ITERATIONS = 1000  # BiCGSTAB steps (two applications of P each) per solve
+POISSON_TOL = 1e-10  # Poisson residual, relative to ||h||_2
+COBOUNDARY_TOL = 1e-3  # residual below which h is an algebraic coboundary
 
 
 def _solve_resolvent(op, h: np.ndarray, eps: float, x: np.ndarray,
-                     tol: float) -> np.ndarray:
+                     tol: float) -> tuple:
     """BiCGSTAB for ((1+eps)I - P) x = h in L2(nu), from the guess x, until
-    the recomputed residual ||h - ((1+eps)x - P x)||_2 is at most tol."""
+    the recomputed residual ||h - ((1+eps)x - P x)||_2 is at most tol;
+    returns x and that residual."""
     masses = op.measure.masses
 
     def dot(u, v):
@@ -58,8 +63,9 @@ def _solve_resolvent(op, h: np.ndarray, eps: float, x: np.ndarray,
     for _ in range(MAX_ITERATIONS):
         if restart:  # from the recomputed residual; the updated one drifts
             r = h - shifted(x)
-            if weighted_norm(r, masses) <= tol:
-                return x
+            residual = weighted_norm(r, masses)
+            if residual <= tol:
+                return x, residual
             r0, p, rho = r, r, dot(r, r)
         else:
             rho_next = dot(r0, r)
@@ -85,6 +91,13 @@ def _solve_resolvent(op, h: np.ndarray, eps: float, x: np.ndarray,
     )
 
 
+def solve_poisson(op, h: np.ndarray) -> tuple:
+    """f with (I - P) f = h for centred h, from a zero start, to residual
+    POISSON_TOL * ||h||_2; returns f and the recomputed residual."""
+    tol = POISSON_TOL * weighted_norm(h, op.measure.masses)
+    return _solve_resolvent(op, h, 0.0, np.zeros_like(h), tol)
+
+
 def resolvent(imap: IntervalMap, nu: MeasureDensity, h: GridFunction,
               eps: float, tail_tol: float, backend: str = "auto") -> GridFunction:
     """f_eps = ((1+eps)I - P)^-1 h to within tail_tol in L2(nu)."""
@@ -93,7 +106,8 @@ def resolvent(imap: IntervalMap, nu: MeasureDensity, h: GridFunction,
     require_centered(h)
     op = make_backend(imap, nu, kind=backend)
     zero = np.zeros_like(h.values)
-    return h.with_values(_solve_resolvent(op, h.values, eps, zero, eps * tail_tol))
+    f, _ = _solve_resolvent(op, h.values, eps, zero, eps * tail_tol)
+    return h.with_values(f)
 
 
 def martingale_part(imap: IntervalMap, nu: MeasureDensity, h: GridFunction,
@@ -145,7 +159,7 @@ def gordin_decompose(imap: IntervalMap, nu: MeasureDensity, h: GridFunction,
     h_parts, f_norms, res_residuals = [], [], []
     for e in eps_list:
         # one residual for all e bounds every ||f - f_e||_2 by tail_tol
-        f = _solve_resolvent(op, h.values, e, f, eps_list[-1] * tail_tol)
+        f, _ = _solve_resolvent(op, h.values, e, f, eps_list[-1] * tail_tol)
         pf = op.apply(f)
         h_parts.append(f - op.koopman(pf))
         f_norms.append(weighted_norm(f, masses))
@@ -204,28 +218,24 @@ class CoboundaryResult:
 
 
 def coboundary_detect(imap: IntervalMap, nu: MeasureDensity, h: GridFunction,
-                      n_max: int = 256, tol: float = 1e-3,
                       backend: str = "auto") -> CoboundaryResult:
-    """Detect h = f o T - f and recover the transfer function f."""
+    """Detect h = f o T - f; the transfer function is f = P (I - P)^-1 h."""
     require_centered(h)
     op = make_backend(imap, nu, kind=backend)
     masses = op.measure.masses
 
-    ces = cesaro_norm_sequence(imap, nu, h, min(n_max, 64), backend=backend)
+    ces = cesaro_norm_sequence(imap, nu, h, 64, backend=backend)
     # bounded if the last quarter of the Cesaro curve is flat to 1%
     q = max(1, ces.size - ces.size // 4)
     level = float(ces[-1])
     bounded = bool(ces[-1] - ces[q - 1] <= 0.01 * max(level, 1e-30))
 
-    acc = h.values.copy()
-    g = h.values.copy()
-    for _ in range(n_max):
-        g = op.apply(g)
-        acc += g
-    f_vals = op.apply(acc)
+    f_tilde, _ = solve_poisson(op, h.values)
+    f_vals = op.apply(f_tilde)
     residual = weighted_norm(op.koopman(f_vals) - f_vals - h.values, masses)
 
     h_norm = weighted_norm(h.values, masses)
+    tol = COBOUNDARY_TOL
     algebra_ok = residual < tol
     if algebra_ok and bounded:
         verdict = "true"

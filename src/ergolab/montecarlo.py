@@ -34,6 +34,7 @@ import numpy as np
 
 from .errors import ConfigurationError, EnsembleRunError, PreconditionError
 from .function_space import GridFunction, MeasureDensity, require_centered
+from .gordin import solve_poisson
 from .maps import IntervalMap
 from .transfer import make_backend
 
@@ -228,8 +229,7 @@ def sample_invariant(imap: IntervalMap, cfg: EnsembleConfig) -> np.ndarray:
 @dataclass
 class GreenKuboResult:
     sigma2: float
-    curve: np.ndarray  # partial sums over lags, curve[0] = int h^2
-    converged: bool
+    residual: float  # ||h - (I - P) f||_2 of the Poisson solve
 
     @property
     def sigma(self) -> float:
@@ -239,31 +239,19 @@ class GreenKuboResult:
         return {
             "sigma2": self.sigma2,
             "sigma": self.sigma,
-            "converged": self.converged,
-            "partial_sums": list(self.curve),
+            "residual": self.residual,
         }
 
 
 def sigma_green_kubo(imap: IntervalMap, nu: MeasureDensity, h: GridFunction,
-                     lag_max: int = 256, backend: str = "auto") -> GreenKuboResult:
-    """sigma^2 = int h^2 dnu + 2 sum_k <P^k h, h> through transfer iterates."""
-    if lag_max < 1:
-        raise PreconditionError("lag_max must be >= 1")
+                     backend: str = "auto") -> GreenKuboResult:
+    """sigma^2 = int h^2 dnu + 2 sum_k <P^k h, h> = <h, 2f - h>, where
+    (I - P) f = h is solved to residual POISSON_TOL * ||h||_2."""
     require_centered(h)
     op = make_backend(imap, nu, kind=backend)
-    masses = op.measure.masses
-    curve = np.empty(lag_max + 1)
-    curve[0] = float((h.values**2) @ masses)
-    g = h.values
-    total = curve[0]
-    for k in range(1, lag_max + 1):
-        g = op.apply(g)
-        total += 2.0 * float((g * h.values) @ masses)
-        curve[k] = total
-    tail = curve[lag_max - lag_max // 4:]
-    level = abs(curve[-1]) if curve[-1] != 0 else 1e-30
-    converged = bool((tail.max() - tail.min()) <= 0.10 * level)
-    return GreenKuboResult(float(curve[-1]), curve, converged)
+    f, residual = solve_poisson(op, h.values)
+    sigma2 = float((h.values * (2.0 * f - h.values)) @ op.measure.masses)
+    return GreenKuboResult(sigma2, residual)
 
 
 def sigma_variance_growth(imap: IntervalMap, h: Callable, n_list: Sequence[int],

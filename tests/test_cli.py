@@ -95,11 +95,39 @@ def test_unknown_config_key_rejected(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("value", ["abc", "1e3"])
+def test_non_integer_config_value_is_config_error(capsys, tmp_path, value):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"map = doubling\nobs = cos1\ncells = {value}\n")
+    assert main(["decay", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "'cells'" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--map", "lsv:0.25", "--obs", "lip1", "--cells", "65536",
+     "--burnin", "10", "--seed", "1"],
+    ["clt", "--map", "lsv:0.25", "--obs", "lip1", "--cells", "65536"],
+    ["verify", "--map", "lsv:0.25", "--obs", "lip1", "--cells", "65536",
+     "--seed", "1", "--n-max", "16"],
+], ids=["burnin-below-floor", "missing-seed", "n-max-below-floor"])
+def test_flag_errors_precede_operator_work(capsys, monkeypatch, argv):
+    def no_measure(*args, **kwargs):
+        raise AssertionError("resolve_measure ran before the flags were checked")
+
+    monkeypatch.setattr("ergolab.cli.resolve_measure", no_measure)
+    code, payload = run_cli(capsys, *argv)
+    assert code == 2
+    assert payload is None
+
+
 def test_sigma_command(capsys):
     code, payload = run_cli(
         capsys, "sigma", "--map", "doubling", "--obs", "cos1", *FAST,
     )
     assert code == 0
+    assert sorted(payload["green_kubo"]) == ["residual", "sigma", "sigma2"]
     assert abs(payload["green_kubo"]["sigma"] - np.sqrt(0.5)) < 1e-3
     assert abs(payload["martingale_norm"] - np.sqrt(0.5)) < 2e-3
     ns = [e["n"] for e in payload["variance_growth"]]

@@ -140,6 +140,28 @@ def test_coboundary_detected(doubling, doubling_nu):
     assert np.max(np.abs(f_centered - target)) < 1e-3
 
 
+def _partial_sum_transfer(op, h, terms=256):
+    """P sum_{k=0}^{terms} P^k h."""
+    acc, g = h.copy(), h
+    for _ in range(terms):
+        g = op.apply(g)
+        acc += g
+    return op.apply(acc)
+
+
+@pytest.mark.parametrize("case", ["doubling", "lsv:0.25"])
+def test_coboundary_transfer_matches_partial_sums(case, doubling, doubling_nu,
+                                                  lsv25, lsv25_1024):
+    if case == "doubling":
+        imap, nu, base = doubling, doubling_nu, "cos1"
+    else:
+        imap, nu, base = lsv25, lsv25_1024[0], "lip1"
+    h = build_observable("coboundary:" + base, imap, nu).grid_function
+    res = coboundary_detect(imap, nu, h)
+    reference = _partial_sum_transfer(make_backend(imap, nu), h.values)
+    assert np.max(np.abs(res.transfer_function.values - reference)) <= 1e-8
+
+
 def test_coboundary_rejected_for_mixing_observable(doubling, doubling_nu):
     obs = build_observable("cos1", doubling, doubling_nu)
     res = coboundary_detect(doubling, doubling_nu, obs.grid_function)
