@@ -335,7 +335,9 @@ _DEFAULTS = {
     "n_max": 64,
     "samples": 100_000,
     "burnin": 10_000,
-    "threads": os.cpu_count() or 1,
+    # the CPUs this process may run on, not the host's count
+    "threads": (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                else os.cpu_count() or 1),
     "m": 64,
 }
 

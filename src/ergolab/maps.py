@@ -4,6 +4,11 @@ Each map exposes its branch structure (forward map, inverse, derivative
 magnitude per branch), which is what the transfer-operator code needs to
 realize preimage sums, plus optional closed-form invariant density and
 inverse-CDF sampler when these are known analytically.
+
+Calling a map evaluates one vectorised closed-form forward map, not a loop
+over branch masks.  It agrees bit for bit with the branch rule (the first
+branch whose closed interval holds the point), so ties at a breakpoint go
+to the left branch: ``<=`` and ``>`` at every breakpoint.
 """
 
 from __future__ import annotations
@@ -67,6 +72,7 @@ class IntervalMap:
     name: str
     domain: tuple
     branches: List[Branch]
+    forward: Callable  # closed form of the branch rule on the whole domain
     gamma: Optional[float] = None
     density_pdf: Optional[Callable] = None
     density_cdf: Optional[Callable] = None
@@ -77,16 +83,11 @@ class IntervalMap:
     def __call__(self, y):
         """Vectorized forward map."""
         y = np.asarray(y, dtype=float)
-        out = np.empty_like(y)
-        todo = np.ones(y.shape, dtype=bool)
-        for br in self.branches:
-            m = todo & (y >= br.lo) & (y <= br.hi)
-            if np.any(m):
-                out[m] = br.forward(y[m])
-                todo &= ~m
-        if np.any(todo):
+        a, b = self.domain
+        # written so that NaN fails the check too
+        if not np.all((y >= a) & (y <= b)):
             raise DomainError("point outside the map domain")
-        return out
+        return np.asarray(self.forward(y))
 
     def step(self, y):
         """Forward map with clamping of roundoff excursions; in-place safe."""
@@ -128,6 +129,7 @@ def _doubling() -> IntervalMap:
         name="doubling",
         domain=(0.0, 1.0),
         branches=br,
+        forward=lambda y: 2.0 * y - (y > 0.5),
         density_pdf=lambda y: np.ones_like(np.asarray(y, float)),
         density_cdf=lambda y: np.asarray(y, dtype=float),
         sampler=lambda u: np.asarray(u, dtype=float),
@@ -157,8 +159,9 @@ def _lsv(gamma: float) -> IntervalMap:
                lambda y: np.full_like(np.asarray(y, float), 2.0)),
     ]
     return IntervalMap(
-        name="lsv", domain=(0.0, 1.0), branches=br, gamma=gamma,
-        label=f"lsv:{gamma}",
+        name="lsv", domain=(0.0, 1.0), branches=br,
+        forward=lambda y: np.where(y <= 0.5, left(y), 2.0 * y - 1.0),
+        gamma=gamma, label=f"lsv:{gamma}",
     )
 
 
@@ -183,7 +186,8 @@ def _manneville_pomeau(gamma: float) -> IntervalMap:
                deriv),
     ]
     return IntervalMap(
-        name="manneville_pomeau", domain=(0.0, 1.0), branches=br, gamma=gamma,
+        name="manneville_pomeau", domain=(0.0, 1.0), branches=br,
+        forward=lambda y: raw(y) - (y > ystar), gamma=gamma,
         label=f"manneville_pomeau:{gamma}",
     )
 
@@ -220,6 +224,7 @@ def _chebyshev(n: int) -> IntervalMap:
         name="chebyshev",
         domain=(-1.0, 1.0),
         branches=branches,
+        forward=fwd,
         gamma=float(n),
         density_pdf=arcsine,
         density_cdf=lambda y: 0.5 + np.arcsin(np.clip(np.asarray(y, float), -1, 1)) / np.pi,

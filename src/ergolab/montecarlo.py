@@ -4,6 +4,13 @@ All randomness flows from a master seed; sample streams are keyed by
 (seed, batch index) with a fixed batch layout, so ensembles are
 bit-identical across reruns and independent of the worker count.
 
+The batches are split into ``min(threads, batches)`` contiguous groups,
+and one worker thread advances each group as one wide array: every batch
+still draws its start (and, in bit-queue mode, its per-step bits) from its
+own stream, while the burn-in and every step run on the whole group at
+once.  Each operation on the orbits is elementwise and gives the same bits
+at any array length, so the grouping never changes a result.
+
 The doubling map gets a dedicated bit-queue mode: its floating-point
 orbits collapse to 0 within ~53 iterations, so the orbit is instead driven
 as an exact binary shift on a queue of fresh random bits, with the state
@@ -68,6 +75,8 @@ class EnsembleConfig:
             raise ConfigurationError("need at least 100 samples")
         if self.n < 1:
             raise ConfigurationError("Birkhoff length must be >= 1")
+        if self.threads < 1:
+            raise ConfigurationError(f"threads must be >= 1, got {self.threads}")
 
     def resolved_mode(self, imap: IntervalMap) -> str:
         """The sampler for ``imap``: the bit queue for doubling, inverse-CDF
@@ -90,13 +99,34 @@ def _batches(cfg: EnsembleConfig) -> List[tuple]:
             for bidx, start in enumerate(range(0, cfg.samples, BATCH_SIZE))]
 
 
-def _start(imap: IntervalMap, cfg: EnsembleConfig, mode: str, rng, size: int):
-    """A batch's initial orbit states: bit-queue words, inverse-CDF points,
+def _groups(cfg: EnsembleConfig) -> List[list]:
+    """The batches split into min(threads, batches) contiguous groups, each
+    advanced as one wide array by one worker."""
+    batches = _batches(cfg)
+    k = min(cfg.threads, len(batches))
+    bounds = [len(batches) * i // k for i in range(k + 1)]
+    return [batches[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+
+
+def _streams(cfg: EnsembleConfig, group) -> list:
+    """(rng, size) per batch of ``group``, each rng keyed by (seed, batch)."""
+    return [(np.random.default_rng([cfg.seed, bidx]), size)
+            for bidx, size in group]
+
+
+def _draw(streams, draw) -> np.ndarray:
+    """``draw(rng, size)`` from each batch's own stream, concatenated."""
+    return np.concatenate([draw(rng, size) for rng, size in streams])
+
+
+def _start(imap: IntervalMap, cfg: EnsembleConfig, mode: str, streams):
+    """A group's initial orbit states: bit-queue words, inverse-CDF points,
     or points burned in from Lebesgue measure."""
     if mode == "bit-queue":
-        return rng.integers(0, 2**64, size=size, dtype=np.uint64)
+        return _draw(streams, lambda rng, size: rng.integers(
+            0, 2**64, size=size, dtype=np.uint64))
     a, b = imap.domain
-    u = rng.random(size)
+    u = _draw(streams, lambda rng, size: rng.random(size))
     if mode == "inverse-cdf":
         return np.asarray(imap.sampler(u), dtype=float)
     y = a + (b - a) * u
@@ -110,22 +140,23 @@ def _stepper(imap: IntervalMap, mode: str):
     """(point map, advance step) for the orbit states of a sampler mode.
 
     The bit queue maps a 64-bit word to its point in [0, 1) and advances
-    by shifting in a fresh random bit.  Every other mode holds points and
-    advances by the map; an orbit that escapes the domain is parked at the
-    midpoint and marked dead in ``alive``.
+    by shifting in a fresh random bit from each batch's stream.  Every
+    other mode holds points and advances by the map; an orbit that escapes
+    the domain is parked at the midpoint and marked dead in ``alive``.
     """
     if mode == "bit-queue":
         one = np.uint64(1)
 
-        def advance(state, rng, alive):
-            bit = rng.integers(0, 2, size=state.size, dtype=np.uint64)
+        def advance(state, streams, alive):
+            bit = _draw(streams, lambda rng, size: rng.integers(
+                0, 2, size=size, dtype=np.uint64))
             return (state << one) | bit
 
         return (lambda state: state * 2.0**-64), advance
 
     a, b = imap.domain
 
-    def advance(y, rng, alive):
+    def advance(y, streams, alive):
         y = imap(np.clip(y, a, b))
         escaped = (y < a - 1e-12) | (y > b + 1e-12)
         if np.any(escaped):
@@ -137,11 +168,12 @@ def _stepper(imap: IntervalMap, mode: str):
     return (lambda y: y), advance
 
 
-def _run_batch(imap, h, cfg, mode, bidx, size, cp):
-    """One batch's dropped-orbit count and its surviving orbits'
+def _run_group(imap, h, cfg, mode, group, cp):
+    """One group's dropped-orbit count and its surviving orbits'
     (S, sup, pos, ties, checkpoints)."""
-    rng = np.random.default_rng([cfg.seed, bidx])
-    state = _start(imap, cfg, mode, rng, size)
+    streams = _streams(cfg, group)
+    size = sum(s for _, s in group)
+    state = _start(imap, cfg, mode, streams)
     point, advance = _stepper(imap, mode)
     n = cfg.n
     alive = np.ones(size, dtype=bool)
@@ -159,7 +191,7 @@ def _run_batch(imap, h, cfg, mode, bidx, size, cp):
         if (j + 1) in cp_pos:
             cps[:, cp_pos[j + 1]] = S
         if j + 1 < n:
-            state = advance(state, rng, alive)
+            state = advance(state, streams, alive)
     arrays = (S, sup, pos, ties, cps)
     dropped = int(size - alive.sum())
     if dropped:
@@ -192,14 +224,15 @@ def run_ensemble(imap: IntervalMap, h: Callable, cfg: EnsembleConfig,
     if any(c < 1 or c > n for c in cp):
         raise ConfigurationError("checkpoints must lie in [1, n]")
 
-    def work(args):
-        return _run_batch(imap, h, cfg, mode, *args, cp)
+    def work(group):
+        return _run_group(imap, h, cfg, mode, group, cp)
 
-    if cfg.threads > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as ex:
-            results = list(ex.map(work, _batches(cfg)))
+    groups = _groups(cfg)
+    if len(groups) > 1:
+        with ThreadPoolExecutor(max_workers=len(groups)) as ex:
+            results = list(ex.map(work, groups))
     else:
-        results = [work(b) for b in _batches(cfg)]
+        results = [work(groups[0])]
 
     dropped = sum(d for d, _ in results)
     if dropped > _MAX_DROP_FRACTION * cfg.samples:
@@ -219,11 +252,7 @@ def sample_invariant(imap: IntervalMap, cfg: EnsembleConfig) -> np.ndarray:
     starting points of ``run_ensemble``'s orbits."""
     mode = cfg.resolved_mode(imap)
     point, _ = _stepper(imap, mode)
-    return np.concatenate([
-        point(_start(imap, cfg, mode, np.random.default_rng([cfg.seed, bidx]),
-                     size))
-        for bidx, size in _batches(cfg)
-    ])
+    return point(_start(imap, cfg, mode, _streams(cfg, _batches(cfg))))
 
 
 @dataclass

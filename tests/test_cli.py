@@ -111,7 +111,10 @@ def test_non_integer_config_value_is_config_error(capsys, tmp_path, value):
     ["clt", "--map", "lsv:0.25", "--obs", "lip1", "--cells", "65536"],
     ["verify", "--map", "lsv:0.25", "--obs", "lip1", "--cells", "65536",
      "--seed", "1", "--n-max", "16"],
-], ids=["burnin-below-floor", "missing-seed", "n-max-below-floor"])
+    ["verify", "--map", "lsv:0.25", "--obs", "lip1", "--cells", "65536",
+     "--seed", "1", "--threads", "0"],
+], ids=["burnin-below-floor", "missing-seed", "n-max-below-floor",
+        "threads-below-one"])
 def test_flag_errors_precede_operator_work(capsys, monkeypatch, argv):
     def no_measure(*args, **kwargs):
         raise AssertionError("resolve_measure ran before the flags were checked")

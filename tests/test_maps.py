@@ -123,3 +123,33 @@ def test_default_grid_adapts_to_measure():
     assert np.allclose(g.nodes, np.cos(np.pi * (np.arange(64)[::-1] + 0.5) / 64))
     uni = builtin_map("doubling").default_grid(64)
     assert np.allclose(np.diff(uni.nodes), 1.0 / 64)
+
+
+def _branch_rule(imap, y):
+    """The reference forward map: the first branch whose closed interval
+    holds the point."""
+    out = np.empty_like(y)
+    todo = np.ones(y.shape, dtype=bool)
+    for br in imap.branches:
+        m = todo & (y >= br.lo) & (y <= br.hi)
+        out[m] = br.forward(y[m])
+        todo &= ~m
+    assert not todo.any()
+    return out
+
+
+@pytest.mark.parametrize("spec", ["lsv:0.25", "lsv:0.6", "doubling",
+                                  "manneville_pomeau:0.25", "chebyshev:2",
+                                  "chebyshev:3"])
+def test_forward_map_equals_branch_rule(spec, rng):
+    m = builtin_map(spec)
+    a, b = m.domain
+    ends = np.array([e for br in m.branches for e in (br.lo, br.hi)])
+    near = np.concatenate([ends, np.nextafter(ends, -np.inf),
+                           np.nextafter(ends, np.inf)])
+    y = np.concatenate([rng.uniform(a, b, size=4096),
+                        near[(near >= a) & (near <= b)]])
+    assert np.array_equal(m(y), _branch_rule(m, y))
+    for bad in (np.nan, np.nextafter(a, -np.inf), np.nextafter(b, np.inf)):
+        with pytest.raises(DomainError):
+            m(np.array([0.5 * (a + b), bad]))

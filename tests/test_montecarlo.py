@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from ergolab import (
     sigma_variance_growth,
 )
 from ergolab.errors import ConfigurationError, PreconditionError
+from ergolab.montecarlo import MIN_BURNIN, _batches, _start, _streams
 
 
 def _cfg(**kw):
@@ -28,6 +31,9 @@ def test_config_validation():
         EnsembleConfig(samples=50, n=64, seed=1)
     with pytest.raises(ConfigurationError):
         EnsembleConfig(samples=200, n=0, seed=1)
+    for threads in (0, -3):
+        with pytest.raises(ConfigurationError):
+            EnsembleConfig(samples=200, n=8, seed=1, threads=threads)
     # the burn-in floor holds wherever the burn-in sampler is chosen
     short = EnsembleConfig(samples=200, n=8, seed=1, burnin=10)
     with pytest.raises(ConfigurationError):
@@ -54,6 +60,26 @@ def test_determinism_across_threads():
     assert np.array_equal(a.S, b.S)
     assert np.array_equal(a.sup, b.sup)
     assert np.array_equal(a.occupation, b.occupation)
+
+
+@pytest.mark.parametrize("spec", ["lsv:0.25", "chebyshev:2"])
+def test_point_modes_deterministic_across_threads(spec):
+    # burn-in-orbit and inverse-cdf modes; 9000 samples leave an uneven
+    # last batch, and 1, 2 and 3 threads group the batches differently
+    m = builtin_map(spec)
+    h = lambda y: y * (1.0 - y)
+    cfg = _cfg(samples=9000, n=32, burnin=MIN_BURNIN)
+    runs = [run_ensemble(m, h, dataclasses.replace(cfg, threads=t))
+            for t in (1, 2, 3)]
+    for run in runs[1:]:
+        assert np.array_equal(runs[0].S, run.S)
+        assert np.array_equal(runs[0].sup, run.sup)
+        assert np.array_equal(runs[0].occupation, run.occupation)
+    # one wide start equals the batches' starts drawn one at a time
+    mode = cfg.resolved_mode(m)
+    per_batch = [_start(m, cfg, mode, _streams(cfg, [batch]))
+                 for batch in _batches(cfg)]
+    assert np.array_equal(sample_invariant(m, cfg), np.concatenate(per_batch))
 
 
 def test_seed_changes_samples():
