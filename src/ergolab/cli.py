@@ -35,6 +35,7 @@ from .function_space import lp_norm
 from .gordin import coboundary_detect, gordin_decompose
 from .maps import builtin_map
 from .montecarlo import (
+    MIN_BURNIN,
     EnsembleConfig,
     EnsembleRun,
     PathEnsemble,
@@ -334,7 +335,7 @@ _DEFAULTS = {
     "n": 4096,
     "n_max": 64,
     "samples": 100_000,
-    "burnin": 10_000,
+    "burnin": MIN_BURNIN,
     # the CPUs this process may run on, not the host's count
     "threads": (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                 else os.cpu_count() or 1),

@@ -45,6 +45,10 @@ def test_config_validation():
     assert short.resolved_mode(builtin_map("chebyshev:2")) == "inverse-cdf"
 
 
+def test_default_burnin_is_the_floor():
+    assert EnsembleConfig(samples=200, n=8, seed=1).burnin == MIN_BURNIN
+
+
 def test_mode_resolution():
     cfg = _cfg()
     assert cfg.resolved_mode(builtin_map("doubling")) == "bit-queue"
@@ -80,6 +84,30 @@ def test_point_modes_deterministic_across_threads(spec):
     per_batch = [_start(m, cfg, mode, _streams(cfg, [batch]))
                  for batch in _batches(cfg)]
     assert np.array_equal(sample_invariant(m, cfg), np.concatenate(per_batch))
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+def test_bit_queue_word_stream(threads):
+    # each batch's stream gives the start word, then one word per 64 steps,
+    # whose bits enter the queue most significant first; n = 130 crosses two
+    # refill boundaries and 9000 samples leave an uneven last batch
+    cfg = _cfg(samples=9000, n=130, threads=threads)
+    run = run_ensemble(builtin_map("doubling"), lambda y: y, cfg)
+    expected = []
+    for bidx, size in _batches(cfg):
+        rng = np.random.default_rng([cfg.seed, bidx])
+        words = [rng.integers(0, 2**64, size=size, dtype=np.uint64)
+                 for _ in range(1 + -(-(cfg.n - 1) // 64))]
+        S = np.zeros(size)
+        for j in range(cfg.n):
+            q, r = divmod(j, 64)
+            state = words[q]
+            if r:
+                state = ((state << np.uint64(r))
+                         | (words[q + 1] >> np.uint64(64 - r)))
+            S += state * 2.0**-64
+        expected.append(S)
+    assert np.array_equal(run.S, np.concatenate(expected))
 
 
 def test_seed_changes_samples():
