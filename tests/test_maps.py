@@ -37,6 +37,16 @@ def test_domain_violation():
     m = builtin_map("doubling")
     with pytest.raises(DomainError):
         m(np.array([1.5]))
+    # the check is a min/max reduction: infinities, 0-d arrays and NaN
+    # (which propagates through both reductions) still fail it
+    for bad in ([0.5, np.inf], [-np.inf, 0.5], 1.5, -0.25, np.nan,
+                [0.25, np.nan, 0.75]):
+        with pytest.raises(DomainError):
+            m(np.array(bad))
+    assert float(m(np.array(0.25))) == 0.5
+    assert m(np.array(1.0)).shape == ()
+    # an empty array holds no point outside the domain
+    assert m(np.array([])).shape == (0,)
 
 
 def test_lsv_branches():

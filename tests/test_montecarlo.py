@@ -16,8 +16,10 @@ from ergolab import (
     sigma_green_kubo,
     sigma_variance_growth,
 )
-from ergolab.errors import ConfigurationError, PreconditionError
-from ergolab.montecarlo import MIN_BURNIN, _batches, _start, _streams
+from ergolab.errors import ConfigurationError, EnsembleRunError, PreconditionError
+from ergolab.montecarlo import (
+    _MAX_DROP_FRACTION, MIN_BURNIN, _batches, _start, _streams,
+)
 
 
 def _cfg(**kw):
@@ -86,28 +88,114 @@ def test_point_modes_deterministic_across_threads(spec):
     assert np.array_equal(sample_invariant(m, cfg), np.concatenate(per_batch))
 
 
-@pytest.mark.parametrize("threads", [1, 3])
-def test_bit_queue_word_stream(threads):
-    # each batch's stream gives the start word, then one word per 64 steps,
-    # whose bits enter the queue most significant first; n = 130 crosses two
-    # refill boundaries and 9000 samples leave an uneven last batch
-    cfg = _cfg(samples=9000, n=130, threads=threads)
-    run = run_ensemble(builtin_map("doubling"), lambda y: y, cfg)
-    expected = []
+def _word_stream_points(cfg):
+    """The doubling orbit points of the whole ensemble at steps 0..n-1,
+    rebuilt from each batch's stream: the start word, then one word per 64
+    steps, whose bits enter the queue most significant first."""
+    batches = []
     for bidx, size in _batches(cfg):
         rng = np.random.default_rng([cfg.seed, bidx])
         words = [rng.integers(0, 2**64, size=size, dtype=np.uint64)
                  for _ in range(1 + -(-(cfg.n - 1) // 64))]
-        S = np.zeros(size)
+        steps = []
         for j in range(cfg.n):
             q, r = divmod(j, 64)
             state = words[q]
             if r:
                 state = ((state << np.uint64(r))
                          | (words[q + 1] >> np.uint64(64 - r)))
-            S += state * 2.0**-64
-        expected.append(S)
-    assert np.array_equal(run.S, np.concatenate(expected))
+            steps.append(state * 2.0**-64)
+        batches.append(steps)
+    for j in range(cfg.n):
+        yield np.concatenate([steps[j] for steps in batches])
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+def test_bit_queue_word_stream(threads):
+    # n = 130 crosses two refill boundaries and 9000 samples leave an
+    # uneven last batch
+    cfg = _cfg(samples=9000, n=130, threads=threads)
+    run = run_ensemble(builtin_map("doubling"), lambda y: y, cfg)
+    assert np.array_equal(run.S, sum(_word_stream_points(cfg)))
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+def test_occupation_counts_exact_ties_half(threads):
+    # h = +-1 makes every S_k an integer, exactly 0 at about one step in
+    # sixteen; the sign accumulator must give (pos + ties / 2) / n exactly
+    h = lambda y: np.where(y < 0.5, 1.0, -1.0)
+    cfg = _cfg(samples=9000, n=130, threads=threads)
+    run = run_ensemble(builtin_map("doubling"), h, cfg)
+    S = np.zeros(cfg.samples)
+    pos = np.zeros(cfg.samples, dtype=np.int64)
+    ties = np.zeros(cfg.samples, dtype=np.int64)
+    for y in _word_stream_points(cfg):
+        S += h(y)
+        pos += S > 0
+        ties += S == 0
+    assert ties.sum() > cfg.samples * cfg.n // 20
+    assert np.array_equal(run.S, S)
+    assert np.array_equal(run.occupation, (pos + 0.5 * ties) / cfg.n)
+
+
+def _overshooting(imap, step, overshoot):
+    """``imap`` whose forward map, at its ``step``-th call, moves the orbits
+    keyed in ``overshoot`` (index -> point) to the given points; the
+    returned list records the input of every later call."""
+    calls, seen = [0], []
+
+    def forward(y):
+        calls[0] += 1
+        if calls[0] > step:
+            seen.append(y.copy())
+        out = imap.forward(y)
+        if calls[0] == step:
+            out[list(overshoot)] = list(overshoot.values())
+        return out
+
+    return dataclasses.replace(imap, forward=forward), seen
+
+
+_DROP_CFG = dict(samples=4000, n=8, burnin=MIN_BURNIN)
+
+
+def test_escaped_orbits_are_dropped_and_parked():
+    # the forward map's call MIN_BURNIN + 3 makes step 3 of the measured
+    # orbit; 3 escapes in 4000 orbits are below the 1e-3 drop bound
+    m = builtin_map("lsv:0.25")
+    h = lambda y: y * (1.0 - y)
+    cfg = _cfg(**_DROP_CFG)
+    escapes = {3: 1.0 + 1e-9, 17: -1e-9, 3999: 2.0}
+    bad, seen = _overshooting(m, MIN_BURNIN + 3, escapes)
+    run = run_ensemble(bad, h, cfg)
+    base = run_ensemble(m, h, cfg)
+    keep = np.ones(cfg.samples, dtype=bool)
+    keep[list(escapes)] = False
+    assert run.dropped == len(escapes)
+    assert np.array_equal(run.S, base.S[keep])
+    assert np.array_equal(run.sup, base.sup[keep])
+    assert np.array_equal(run.occupation, base.occupation[keep])
+    # dropped orbits are parked at the midpoint and stay in the domain
+    assert np.all(seen[0][list(escapes)] == 0.5)
+
+
+def test_roundoff_overshoot_is_clipped_not_dropped():
+    m = builtin_map("lsv:0.25")
+    cfg = _cfg(**_DROP_CFG)
+    bad, seen = _overshooting(m, MIN_BURNIN + 3, {5: 1.0 + 1e-12, 9: -1e-12})
+    run = run_ensemble(bad, lambda y: y, cfg)
+    assert run.dropped == 0 and run.S.shape == (cfg.samples,)
+    assert seen[0][5] == 1.0 and seen[0][9] == 0.0
+
+
+def test_too_many_escapes_raise():
+    m = builtin_map("lsv:0.25")
+    cfg = _cfg(**_DROP_CFG)
+    limit = int(_MAX_DROP_FRACTION * cfg.samples)
+    bad, _ = _overshooting(m, MIN_BURNIN + 3,
+                           {i: 1.5 for i in range(limit + 1)})
+    with pytest.raises(EnsembleRunError):
+        run_ensemble(bad, lambda y: y, cfg)
 
 
 def test_seed_changes_samples():
