@@ -5,11 +5,23 @@ All randomness flows from a master seed; sample streams are keyed by
 bit-identical across reruns and independent of the worker count.
 
 The batches are split into ``min(threads, batches)`` contiguous groups,
-and one worker thread advances each group as one wide array: every batch
-still draws its start (and, in bit-queue mode, its refill words) from its
-own stream, while the burn-in and every step run on the whole group at
-once.  Each operation on the orbits is elementwise and gives the same bits
-at any array length, so the grouping never changes a result.
+and each group is advanced as one wide array: every batch still draws its
+start (and, in bit-queue mode, its refill words) from its own stream,
+while the burn-in and every step run on the whole group at once.  Each
+operation on the orbits is elementwise and gives the same bits at any
+array length, so the grouping never changes a result.
+
+Two or more groups run in parallel, one worker per group.  Where the
+platform can fork, each worker is a process started with the ``fork``
+context: a step makes a dozen or more numpy calls, and worker threads
+would hand the GIL over at every one of them, which on lsv made two
+threads slower than one.  The work (map, observable, configuration,
+sampler mode, checkpoints) is published in a module global before the
+pool starts, so the forked workers inherit it and an arbitrary observable
+callable needs no pickling; each worker returns only its group's arrays,
+merged in group order.  A lock keeps the global to one pool at a time.
+Without fork the same ``map`` runs on threads.  A single group runs in
+the calling thread.
 
 The doubling map gets a dedicated bit-queue mode: its floating-point
 orbits collapse to 0 within ~53 iterations, so the orbit is instead driven
@@ -32,15 +44,13 @@ from its state to a point, and its advance step.  One run records terminal
 sums, FCLT functionals and variance-growth checkpoints together, so
 ``ergolab verify`` simulates its ensemble once.
 
-A step of the loop makes as few numpy calls as it can, because in a worker
-thread each call is a GIL hand-off, so the call count sets the threaded
-run time.  The occupation time keeps one float accumulator,
-``sgn += sign(S)``, and ends as ``((n + sgn) / 2) / n``: ``n + sgn`` is twice
-the number of positive steps plus the number of ties, an exact integer, so
-this equals ``(positive + ties / 2) / n`` bit for bit, and ties still count
-half.  A point-mode step (and a burn-in step) checks the range of the new
-points by two reductions and skips the escape mask and the clip when every
-point already lies in the domain, where the clip would change nothing.
+The occupation time keeps one float accumulator, ``sgn += sign(S)``, and
+ends as ``((n + sgn) / 2) / n``: ``n + sgn`` is twice the number of
+positive steps plus the number of ties, an exact integer, so this equals
+``(positive + ties / 2) / n`` bit for bit, and ties still count half.  A
+point-mode step (and a burn-in step) checks the range of the new points
+by two reductions and skips the escape mask and the clip when every point
+already lies in the domain, where the clip would change nothing.
 
 FCLT path functionals (sup, occupation fraction) are computed from the
 full n-step prefix-sum resolution rather than from the coarse m-point
@@ -53,7 +63,9 @@ At full resolution the gap is ~1e-2 and the reference laws apply.
 from __future__ import annotations
 
 import dataclasses
-from concurrent.futures import ThreadPoolExecutor
+import multiprocessing
+import threading
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence
 
@@ -80,6 +92,10 @@ __all__ = [
 _MAX_DROP_FRACTION = 1e-3
 BATCH_SIZE = 4096  # the batch layout keys the random streams (see _batches)
 MIN_BURNIN = 1000
+
+_FORK = "fork" in multiprocessing.get_all_start_methods()
+_WORK = None  # (imap, h, cfg, mode, cp) of the running pool, see run_ensemble
+_WORK_LOCK = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -203,7 +219,7 @@ def _stepper(imap: IntervalMap, mode: str):
     return (lambda y: y), advance
 
 
-def _run_group(imap, h, cfg, mode, group, cp):
+def _run_group(imap, h, cfg, mode, cp, group):
     """One group's dropped-orbit count and its surviving orbits'
     (S, sup, sgn, checkpoints), where sgn sums sign(S_k) over the steps."""
     streams = _streams(cfg, group)
@@ -232,6 +248,19 @@ def _run_group(imap, h, cfg, mode, group, cp):
     return dropped, arrays
 
 
+def _pool(workers: int):
+    """One process per worker, forked so that it inherits ``_WORK``, or
+    one thread per worker where the platform cannot fork."""
+    if _FORK:
+        return ProcessPoolExecutor(workers, multiprocessing.get_context("fork"))
+    return ThreadPoolExecutor(workers)
+
+
+def _run_published(group):
+    """``_run_group`` on the work that ``run_ensemble`` published."""
+    return _run_group(*_WORK, group)
+
+
 @dataclass
 class EnsembleRun:
     S: np.ndarray
@@ -251,21 +280,25 @@ class EnsembleRun:
 def run_ensemble(imap: IntervalMap, h: Callable, cfg: EnsembleConfig,
                  checkpoints: Optional[Sequence[int]] = None) -> EnsembleRun:
     """Drive M orbits for n steps, accumulating Birkhoff prefix statistics."""
+    global _WORK
     mode = cfg.resolved_mode(imap)
     n = cfg.n
     cp = sorted(set(int(c) for c in checkpoints)) if checkpoints else []
     if any(c < 1 or c > n for c in cp):
         raise ConfigurationError("checkpoints must lie in [1, n]")
 
-    def work(group):
-        return _run_group(imap, h, cfg, mode, group, cp)
-
+    work = (imap, h, cfg, mode, cp)
     groups = _groups(cfg)
     if len(groups) > 1:
-        with ThreadPoolExecutor(max_workers=len(groups)) as ex:
-            results = list(ex.map(work, groups))
+        with _WORK_LOCK:
+            _WORK = work
+            try:
+                with _pool(len(groups)) as ex:
+                    results = list(ex.map(_run_published, groups))
+            finally:
+                _WORK = None
     else:
-        results = [work(groups[0])]
+        results = [_run_group(*work, groups[0])]
 
     dropped = sum(d for d, _ in results)
     if dropped > _MAX_DROP_FRACTION * cfg.samples:

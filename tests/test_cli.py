@@ -242,6 +242,18 @@ def test_verify_output_deterministic_across_threads(capsys):
     assert first == second
 
 
+def test_verify_point_mode_output_deterministic_across_threads(capsys):
+    # lsv burns in its orbits; 9000 samples make two groups at --threads 2
+    argv = ["verify", "--map", "lsv:0.25", "--obs", "lip1",
+            "--cells", "1024", "--n", "256", "--samples", "9000",
+            "--seed", "11", "--m", "16"]
+    main(argv + ["--threads", "1"])
+    first = capsys.readouterr().out
+    main(argv + ["--threads", "2"])
+    second = capsys.readouterr().out
+    assert first == second
+
+
 def test_installed_entry_point():
     # the installed console script if there is one; otherwise the
     # [project.scripts] target, run the way the generated wrapper runs it

@@ -1,4 +1,8 @@
+import collections
 import dataclasses
+import multiprocessing
+import os
+import threading
 
 import numpy as np
 import pytest
@@ -16,9 +20,11 @@ from ergolab import (
     sigma_green_kubo,
     sigma_variance_growth,
 )
-from ergolab.errors import ConfigurationError, EnsembleRunError, PreconditionError
+from ergolab.errors import (
+    ConfigurationError, DomainError, EnsembleRunError, PreconditionError,
+)
 from ergolab.montecarlo import (
-    _MAX_DROP_FRACTION, MIN_BURNIN, _batches, _start, _streams,
+    _MAX_DROP_FRACTION, MIN_BURNIN, _batches, _groups, _start, _streams,
 )
 
 
@@ -196,6 +202,95 @@ def test_too_many_escapes_raise():
                            {i: 1.5 for i in range(limit + 1)})
     with pytest.raises(EnsembleRunError):
         run_ensemble(bad, lambda y: y, cfg)
+
+
+# 9000 samples at threads=2 make two groups, of 4096 and 4904 orbits
+_GROUPS_CFG = dict(samples=9000, n=8, burnin=MIN_BURNIN, threads=2)
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="groups run on threads where fork is unavailable")
+def test_groups_run_in_forked_workers():
+    # n = 1 makes S the one value of h, here the id of the process that ran it
+    cfg = _cfg(**dict(_GROUPS_CFG, n=1))
+    pid = lambda y: np.full(y.shape, float(os.getpid()))
+    run = run_ensemble(builtin_map("lsv:0.25"), pid, cfg)
+    workers = set(run.S.tolist())
+    assert len(workers) == 2 and float(os.getpid()) not in workers
+
+
+def _escaping_per_group(imap, count):
+    """``imap`` whose forward map, at its call MIN_BURNIN + 3 on an array,
+    sends the first ``count`` points of that array out of the domain.  Calls
+    are counted per array length, so each group counts its own calls in
+    whichever worker (process or thread) runs it."""
+    calls = collections.Counter()
+
+    def forward(y):
+        calls[y.size] += 1
+        out = imap.forward(y)
+        if calls[y.size] == MIN_BURNIN + 3:
+            out[:count] = 1.5
+        return out
+
+    return dataclasses.replace(imap, forward=forward)
+
+
+def test_drops_from_several_groups_are_summed():
+    m = builtin_map("lsv:0.25")
+    h = lambda y: y * (1.0 - y)
+    cfg = _cfg(**_GROUPS_CFG)
+    sizes = [sum(size for _, size in g) for g in _groups(cfg)]
+    assert sizes == [4096, 4904]
+    limit = int(_MAX_DROP_FRACTION * cfg.samples)
+    assert 2 * 4 <= limit < 2 * 5
+    run = run_ensemble(_escaping_per_group(m, 4), h, cfg)
+    base = run_ensemble(m, h, cfg)
+    keep = np.ones(cfg.samples, dtype=bool)
+    keep[[0, 1, 2, 3, 4096, 4097, 4098, 4099]] = False
+    assert run.dropped == 8
+    assert np.array_equal(run.S, base.S[keep])
+    assert np.array_equal(run.sup, base.sup[keep])
+    assert np.array_equal(run.occupation, base.occupation[keep])
+    # 5 drops per group stay below the bound in each group, not in total
+    with pytest.raises(EnsembleRunError, match="10/9000"):
+        run_ensemble(_escaping_per_group(m, 5), h, cfg)
+
+
+def test_typed_error_in_a_worker_reaches_the_caller():
+    # a forward map that returns NaN fails the domain check of the next call
+    m = builtin_map("lsv:0.25")
+    nan = dataclasses.replace(m, forward=lambda y: np.full(y.shape, np.nan))
+    with pytest.raises(DomainError):
+        run_ensemble(nan, lambda y: y, _cfg(**_GROUPS_CFG))
+
+
+def test_concurrent_callers_match_their_serial_runs():
+    # three callers at once, two workers each: a worker that ran another
+    # caller's published work would break the equality with the serial run
+    cases = [(builtin_map("lsv:0.25"), lambda y: y * (1.0 - y)),
+             (builtin_map("doubling"), lambda y: np.cos(2 * np.pi * y)),
+             (builtin_map("chebyshev:2"), lambda y: y**3)]
+    cfg = _cfg(**dict(_GROUPS_CFG, n=64))
+    serial = [run_ensemble(m, h, cfg) for m, h in cases]
+    results = [None] * len(cases)
+    barrier = threading.Barrier(len(cases))
+
+    def call(i):
+        barrier.wait()
+        results[i] = run_ensemble(*cases[i], cfg)
+
+    callers = [threading.Thread(target=call, args=(i,))
+               for i in range(len(cases))]
+    for t in callers:
+        t.start()
+    for t in callers:
+        t.join(timeout=120)
+        assert not t.is_alive()
+    for run, ref in zip(results, serial):
+        assert np.array_equal(run.S, ref.S)
+        assert np.array_equal(run.sup, ref.sup)
+        assert np.array_equal(run.occupation, ref.occupation)
 
 
 def test_seed_changes_samples():
