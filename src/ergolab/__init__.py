@@ -26,7 +26,6 @@ from .errors import (
     NumericalEscapeError,
     ParameterError,
     PreconditionError,
-    SingularDerivativeError,
 )
 from .function_space import (
     GridFunction,
@@ -41,15 +40,13 @@ from .gordin import (
     GordinDecomposition,
     coboundary_detect,
     gordin_decompose,
-    martingale_part,
     resolvent,
 )
-from .maps import Branch, IntervalMap, builtin_map, orbit, preimages
+from .maps import Branch, IntervalMap, builtin_map
 from .montecarlo import (
     EnsembleConfig,
     GreenKuboResult,
     PathEnsemble,
-    path_ensemble,
     run_ensemble,
     sample_invariant,
     sigma_green_kubo,
@@ -71,11 +68,9 @@ from .transfer import (
     UlamTransferOperator,
     duality_residual,
     invariant_density,
-    koopman_apply,
     make_backend,
     resolve_measure,
     transfer_apply,
-    transfer_power,
     ulam_matrix,
 )
 

@@ -3,7 +3,7 @@
 Computes ||P^n h||_p and the Cesaro norms ||sum_{k<n} P^k h||_2 and fits
 polynomial rates on a pre-asymptotic window (the finite Ulam/branch matrix
 has a spectral gap, so the decay turns spuriously exponential at large n;
-the default window n in [8, 64] stays clear of that).  The resulting flags
+the window n in [8, 64] stays clear of that).  The resulting flags
 are evidence of consistency with the CLT/FCLT hypotheses, not proof.
 """
 
@@ -30,7 +30,7 @@ __all__ = [
     "decay_report",
 ]
 
-DEFAULT_MARGIN = 0.05
+MARGIN = 0.05  # slack on each exponent threshold
 ZERO_NORM_TOL = 1e-6
 MIN_CLASSIFY_N = 32  # shortest sequences classify_conditions accepts
 
@@ -59,16 +59,16 @@ def norm_decay_sequence(imap: IntervalMap, nu: MeasureDensity, h: GridFunction,
     """[||P^n h||_p for n = 1..n_max]."""
     if n_max < 2:
         raise PreconditionError("n_max must be >= 2")
-    _, l1, l2, _ = _sweep(imap, nu, h, n_max, backend)
     if p not in (1, 2):
         raise FitError(f"unsupported norm exponent {p}")
+    _, l1, l2, _ = _sweep(imap, nu, h, n_max, backend)
     return l1 if p == 1 else l2
 
 
 def cesaro_norm_sequence(imap: IntervalMap, nu: MeasureDensity, h: GridFunction,
-                         n_max: int, backend: str = "auto") -> np.ndarray:
+                         n_max: int) -> np.ndarray:
     """[||sum_{k=0}^{n-1} P^k h||_2 for n = 1..n_max] (k=0 term is h itself)."""
-    return _sweep(imap, nu, h, n_max, backend)[3]
+    return _sweep(imap, nu, h, n_max, "auto")[3]
 
 
 @dataclass(frozen=True)
@@ -143,17 +143,17 @@ def _safe_fit(seq, rng) -> Optional[RateFit]:
 
 
 def classify_conditions(map_label: str, observable: str, backend: str,
-                        l1: np.ndarray, l2: np.ndarray, cesaro: np.ndarray,
-                        fit_range=None, margin: float = DEFAULT_MARGIN) -> DecayReport:
-    """Set pass/fail/unknown flags for the four operator-norm conditions."""
+                        l1: np.ndarray, l2: np.ndarray,
+                        cesaro: np.ndarray) -> DecayReport:
+    """Set pass/fail/unknown flags for the four operator-norm conditions,
+    fitting rates over n in [8, min(64, n_max)]."""
     n_max = l2.size
     if n_max < MIN_CLASSIFY_N:
         raise PreconditionError(f"classification needs n_max >= {MIN_CLASSIFY_N}")
-    if fit_range is None:
-        fit_range = (8, min(64, n_max))
+    fit_range = (8, min(64, n_max))
     report = DecayReport(map_label, observable, backend, l1, l2, cesaro)
     report.diagnostics["fit_range"] = list(fit_range)
-    report.diagnostics["margin"] = margin
+    report.diagnostics["margin"] = MARGIN
 
     if np.max(l2[fit_range[0] - 1:]) <= ZERO_NORM_TOL:
         # finite-step annihilation (P^k h = 0): every decay condition holds
@@ -178,7 +178,7 @@ def classify_conditions(map_label: str, observable: str, backend: str,
     if fit_l2 is None:
         report.flags["l2_decay_beta_gt_half"] = "unknown"
     else:
-        report.flags["l2_decay_beta_gt_half"] = verdict(fit_l2.exponent < -0.5 - margin)
+        report.flags["l2_decay_beta_gt_half"] = verdict(fit_l2.exponent < -0.5 - MARGIN)
 
     # summability of n^(-1/2) ||P^n h||_2: plateau of the partial sums
     terms = l2 / np.sqrt(np.arange(1, n_max + 1))
@@ -192,18 +192,15 @@ def classify_conditions(map_label: str, observable: str, backend: str,
         report.flags["cesaro_alpha_lt_half"] = "unknown"
         report.flags["coboundary_bounded"] = "unknown"
     else:
-        report.flags["cesaro_alpha_lt_half"] = verdict(fit_ces.exponent < 0.5 - margin)
-        report.flags["coboundary_bounded"] = verdict(fit_ces.exponent < margin)
+        report.flags["cesaro_alpha_lt_half"] = verdict(fit_ces.exponent < 0.5 - MARGIN)
+        report.flags["coboundary_bounded"] = verdict(fit_ces.exponent < MARGIN)
     return report
 
 
 def decay_report(imap: IntervalMap, nu: MeasureDensity, h: GridFunction,
-                 observable: str = "h", n_max: int = 64, backend: str = "auto",
-                 fit_range=None) -> DecayReport:
+                 observable: str = "h", n_max: int = 64) -> DecayReport:
     """Full decay diagnostics for one (map, observable) pair."""
     if n_max < 2:
         raise PreconditionError("n_max must be >= 2")
-    kind, l1, l2, ces = _sweep(imap, nu, h, n_max, backend)
-    return classify_conditions(
-        imap.label, observable, kind, l1, l2, ces, fit_range=fit_range
-    )
+    kind, l1, l2, ces = _sweep(imap, nu, h, n_max, "auto")
+    return classify_conditions(imap.label, observable, kind, l1, l2, ces)

@@ -17,10 +17,6 @@ class DomainError(ErgolabError):
     """A point lies outside the map's domain."""
 
 
-class SingularDerivativeError(ErgolabError):
-    """A branch derivative is numerically zero where a preimage is needed."""
-
-
 class DegenerateMeasureError(ErgolabError):
     """A measure density vanishes where the transfer operator needs it."""
 

@@ -111,14 +111,6 @@ class QuadratureGrid:
         )
 
 
-def _fit_left_power_law(nodes, values):
-    """Least-squares power law c*y**(-g) through the first three nodes."""
-    x = np.log(nodes[:3])
-    z = np.log(values[:3])
-    slope, intercept = np.polyfit(x, z, 1)
-    return np.exp(intercept), -slope
-
-
 @dataclass(frozen=True)
 class MeasureDensity:
     """A probability measure represented by density values on a grid.
@@ -186,27 +178,6 @@ class MeasureDensity:
         values = masses / grid.weights
         return cls(grid, values, masses, name=name, closed_form=False)
 
-    def density_at(self, y):
-        """Density evaluated at arbitrary points.
-
-        Uses the closed form when available; otherwise linear interpolation
-        of node values, with power-law extrapolation left of the first node
-        when the density blows up there.
-        """
-        if self.pdf is not None:
-            return np.asarray(self.pdf(y), dtype=float)
-        y = np.asarray(y, dtype=float)
-        j, t = self.grid.locate(y)
-        out = (1 - t) * self.values[j] + t * self.values[j + 1]
-        first = self.grid.nodes[0]
-        below = y < first
-        if np.any(below):
-            v0, v1, v2 = self.values[:3]
-            if v0 > v1 > v2 > 0:
-                c, g = _fit_left_power_law(self.grid.nodes, self.values)
-                out = np.where(below, c * np.maximum(y, 1e-300) ** (-g), out)
-        return out
-
     def to_csv(self) -> str:
         return (f"# measure={self.name} normalized=True\n"
                 + _node_value_csv(self.grid.nodes, self.values))
@@ -236,9 +207,6 @@ class GridFunction:
 
     def with_values(self, values) -> "GridFunction":
         return GridFunction(self.grid, values, self.measure)
-
-    def __add__(self, other):
-        return self.with_values(self.values + _vals(other))
 
     def __sub__(self, other):
         return self.with_values(self.values - _vals(other))

@@ -35,11 +35,11 @@ __all__ = [
     "GordinDecomposition",
     "CoboundaryResult",
     "resolvent",
-    "martingale_part",
     "gordin_decompose",
     "coboundary_detect",
 ]
 
+K_MAX = 12  # the dyadic schedule eps_k = 2^-k runs over k = 1..K_MAX
 MAX_ITERATIONS = 1000  # BiCGSTAB steps (two applications of P each) per solve
 POISSON_TOL = 1e-10  # Poisson residual, relative to ||h||_2
 COBOUNDARY_TOL = 1e-3  # residual below which h is an algebraic coboundary
@@ -99,24 +99,15 @@ def solve_poisson(op, h: np.ndarray) -> tuple:
 
 
 def resolvent(imap: IntervalMap, nu: MeasureDensity, h: GridFunction,
-              eps: float, tail_tol: float, backend: str = "auto") -> GridFunction:
+              eps: float, tail_tol: float) -> GridFunction:
     """f_eps = ((1+eps)I - P)^-1 h to within tail_tol in L2(nu)."""
     if eps <= 0:
         raise PreconditionError("eps must be positive")
     require_centered(h)
-    op = make_backend(imap, nu, kind=backend)
+    op = make_backend(imap, nu)
     zero = np.zeros_like(h.values)
     f, _ = _solve_resolvent(op, h.values, eps, zero, eps * tail_tol)
     return h.with_values(f)
-
-
-def martingale_part(imap: IntervalMap, nu: MeasureDensity, h: GridFunction,
-                    eps: float, tail_tol: float, backend: str = "auto") -> GridFunction:
-    """h_eps = f_eps - U P f_eps; satisfies P h_eps = 0 analytically."""
-    op = make_backend(imap, nu, kind=backend)
-    f_eps = resolvent(imap, nu, h, eps, tail_tol, backend=backend)
-    pf = op.apply(f_eps.values)
-    return h.with_values(f_eps.values - op.koopman(pf))
 
 
 @dataclass
@@ -145,16 +136,15 @@ class GordinDecomposition:
 
 
 def gordin_decompose(imap: IntervalMap, nu: MeasureDensity, h: GridFunction,
-                     k_max: int = 12, tail_tol: Optional[float] = None,
-                     backend: str = "auto") -> GordinDecomposition:
-    """Run the dyadic schedule eps_k = 2^-k, k = 1..k_max, and collect the
-    martingale part estimate h-tilde = h_{eps_(k_max)}."""
+                     tail_tol: Optional[float] = None) -> GordinDecomposition:
+    """Run the dyadic schedule eps_k = 2^-k, k = 1..K_MAX, and collect the
+    martingale part estimate h-tilde = h_{eps_(K_MAX)}."""
     require_centered(h)
-    op = make_backend(imap, nu, kind=backend)
+    op = make_backend(imap, nu)
     masses = op.measure.masses
     if tail_tol is None:
         tail_tol = 1e-6 * max(weighted_norm(h.values, masses), 1e-30)
-    eps_list = [2.0**-k for k in range(1, k_max + 1)]
+    eps_list = [2.0**-k for k in range(1, K_MAX + 1)]
     f = np.zeros_like(h.values)
     h_parts, f_norms, res_residuals = [], [], []
     for e in eps_list:
@@ -217,14 +207,14 @@ class CoboundaryResult:
         }
 
 
-def coboundary_detect(imap: IntervalMap, nu: MeasureDensity, h: GridFunction,
-                      backend: str = "auto") -> CoboundaryResult:
+def coboundary_detect(imap: IntervalMap, nu: MeasureDensity,
+                      h: GridFunction) -> CoboundaryResult:
     """Detect h = f o T - f; the transfer function is f = P (I - P)^-1 h."""
     require_centered(h)
-    op = make_backend(imap, nu, kind=backend)
+    op = make_backend(imap, nu)
     masses = op.measure.masses
 
-    ces = cesaro_norm_sequence(imap, nu, h, 64, backend=backend)
+    ces = cesaro_norm_sequence(imap, nu, h, 64)
     # bounded if the last quarter of the Cesaro curve is flat to 1%
     q = max(1, ces.size - ces.size // 4)
     level = float(ces[-1])

@@ -25,20 +25,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Callable, List, Optional
 
 import numpy as np
 
-from .errors import (
-    ConfigurationError,
-    DomainError,
-    NumericalEscapeError,
-    SingularDerivativeError,
-)
+from .errors import ConfigurationError, DomainError, NumericalEscapeError
 from .function_space import MeasureDensity, QuadratureGrid
 
-__all__ = ["Branch", "IntervalMap", "builtin_map", "preimages", "orbit"]
+__all__ = ["Branch", "IntervalMap", "builtin_map"]
 
 _ESCAPE_TOL = 1e-12
 
@@ -278,51 +272,3 @@ def builtin_map(name: str, param=None) -> IntervalMap:
     if param is not None:
         raise ConfigurationError(f"map {name!r} takes no parameter")
     return builder()
-
-
-def preimages(imap: IntervalMap, x: float):
-    """All branch preimages of x with their derivative magnitudes."""
-    a, b = imap.domain
-    if x < a - _ESCAPE_TOL or x > b + _ESCAPE_TOL:
-        raise DomainError(f"{x} outside domain [{a}, {b}]")
-    x = min(max(x, a), b)
-    out = []
-    for br in imap.branches:
-        rlo, rhi = br.range
-        if rlo - 1e-12 <= x <= rhi + 1e-12:
-            y = float(np.clip(br.inverse(np.asarray(x, dtype=float)), br.lo, br.hi))
-            d = float(br.deriv_mag(np.asarray(y, dtype=float)))
-            if not np.isfinite(d) or d < 1e-14:
-                raise SingularDerivativeError(
-                    f"|T'| ~ {d} at preimage {y} of {x}"
-                )
-            out.append((y, d))
-    return out
-
-
-def orbit(imap: IntervalMap, y0, n: int):
-    """Forward orbit [y0, T(y0), ..., T^(n-1)(y0)].
-
-    For the doubling map a Fraction start gives an exact rational orbit
-    (floating-point doubling orbits collapse to 0 within ~53 steps).
-    """
-    if n < 0:
-        raise DomainError("orbit length must be non-negative")
-    if imap.name == "doubling" and isinstance(y0, Fraction):
-        ys = []
-        y = y0
-        for _ in range(n):
-            ys.append(y)
-            y = (2 * y) % 1
-        return ys
-    a, b = imap.domain
-    y = float(y0)
-    if y < a - _ESCAPE_TOL or y > b + _ESCAPE_TOL:
-        raise DomainError(f"start {y0} outside domain")
-    y = min(max(y, a), b)
-    out = np.empty(n)
-    for j in range(n):
-        out[j] = y
-        if j + 1 < n:
-            y = float(imap.step(np.asarray(y)))
-    return out

@@ -86,7 +86,6 @@ __all__ = [
     "sample_invariant",
     "sigma_green_kubo",
     "sigma_variance_growth",
-    "path_ensemble",
 ]
 
 _MAX_DROP_FRACTION = 1e-3
@@ -338,12 +337,12 @@ class GreenKuboResult:
         }
 
 
-def sigma_green_kubo(imap: IntervalMap, nu: MeasureDensity, h: GridFunction,
-                     backend: str = "auto") -> GreenKuboResult:
+def sigma_green_kubo(imap: IntervalMap, nu: MeasureDensity,
+                     h: GridFunction) -> GreenKuboResult:
     """sigma^2 = int h^2 dnu + 2 sum_k <P^k h, h> = <h, 2f - h>, where
     (I - P) f = h is solved to residual POISSON_TOL * ||h||_2."""
     require_centered(h)
-    op = make_backend(imap, nu, kind=backend)
+    op = make_backend(imap, nu)
     f, residual = solve_poisson(op, h.values)
     sigma2 = float((h.values * (2.0 * f - h.values)) @ op.measure.masses)
     return GreenKuboResult(sigma2, residual)
@@ -390,16 +389,3 @@ class PathEnsemble:
         return "sample_index,sup,terminal,occupation\n" + "".join(
             f"{i},{s!r},{t!r},{o!r}\n" for i, (s, t, o) in enumerate(rows)
         )
-
-
-def path_ensemble(imap: IntervalMap, h: Callable, sigma: float,
-                  cfg: EnsembleConfig, m: int) -> PathEnsemble:
-    """Rescaled-path ensemble with sup/terminal/occupation functionals, at
-    the full n-step resolution (see module docstring)."""
-    if sigma <= 0:
-        raise PreconditionError(
-            "sigma must be positive; for sigma = 0 run coboundary_detect"
-        )
-    if cfg.n % m != 0:
-        raise PreconditionError("path resolution m must divide n")
-    return PathEnsemble.from_run(run_ensemble(imap, h, cfg), sigma, m)

@@ -5,9 +5,10 @@ Two interchangeable backends realize the transfer operator:
 * ``BranchTransferOperator`` -- the exact preimage-sum formula
   (P f)(x) = sum_y f(y) rho(y) / (rho(x) |T'(y)|) over branch preimages y
   of x, assembled once into a sparse matrix (nodes are fixed, so preimages
-  and interpolation stencils are precomputable).  Needs a density; a
-  rank-one correction enforces exact mean preservation, which raw midpoint
-  quadrature only gives to a few 1e-6 for singular densities.
+  and interpolation stencils are precomputable).  Needs a measure with a
+  closed-form pdf; a rank-one correction enforces exact mean preservation,
+  which raw midpoint quadrature only gives to a few 1e-6 for singular
+  densities.
 
 * ``UlamTransferOperator`` -- the density-free Ulam route.  The cell
   transition matrix is a genuine finite Markov operator and its stationary
@@ -19,7 +20,6 @@ Two interchangeable backends realize the transfer operator:
 from __future__ import annotations
 
 import hashlib
-import io
 from collections import OrderedDict
 from dataclasses import dataclass
 
@@ -36,9 +36,7 @@ from .maps import IntervalMap
 
 __all__ = [
     "UlamMatrix",
-    "koopman_apply",
     "transfer_apply",
-    "transfer_power",
     "duality_residual",
     "ulam_matrix",
     "invariant_density",
@@ -71,7 +69,12 @@ class BranchTransferOperator:
         self.measure = measure
         self.grid = measure.grid
         grid = self.grid
-        rho_x = measure.density_at(grid.nodes)
+        pdf = measure.pdf
+        if pdf is None:
+            raise InvalidInputError(
+                f"the branch backend needs a closed-form pdf; {measure.name} "
+                "has none")
+        rho_x = np.asarray(pdf(grid.nodes), dtype=float)
         if np.any(rho_x <= 0):
             raise DegenerateMeasureError("density vanishes at a grid node")
         rows, cols, vals = [], [], []
@@ -84,7 +87,7 @@ class BranchTransferOperator:
             x = np.clip(grid.nodes[idx], rlo, rhi)
             y = np.clip(br.inverse(x), br.lo, br.hi)
             d = br.deriv_mag(y)
-            coeff = measure.density_at(y) / (rho_x[idx] * d)
+            coeff = np.asarray(pdf(y), dtype=float) / (rho_x[idx] * d)
             j, t = grid.locate(y)
             rows.append(idx)
             cols.append(j)
@@ -143,18 +146,9 @@ class UlamMatrix:
 
     n_cells: int
     matrix: csr_matrix
-    map_label: str
 
     def row_sum_defect(self) -> float:
         return float(np.max(np.abs(self.matrix.sum(axis=1) - 1.0)))
-
-    def to_text(self) -> str:
-        buf = io.StringIO()
-        buf.write(f"# ulam N={self.n_cells} map={self.map_label}\n")
-        coo = self.matrix.tocoo()
-        for r, c, v in zip(coo.row, coo.col, coo.data):
-            buf.write(f"{r} {c} {v!r}\n")
-        return buf.getvalue()
 
 
 def ulam_matrix(imap: IntervalMap, n_cells: int) -> UlamMatrix:
@@ -195,23 +189,27 @@ def ulam_matrix(imap: IntervalMap, n_cells: int) -> UlamMatrix:
     # kill accumulated roundoff so rows are stochastic to machine precision
     rs = np.asarray(m.sum(axis=1)).ravel()
     m = csr_matrix(m.multiply(1.0 / rs[:, None]))
-    return UlamMatrix(n_cells, m, imap.label)
+    return UlamMatrix(n_cells, m)
 
 
-def stationary_vector(ulam: UlamMatrix, tol: float = 1e-12,
-                      max_iter: int = 100_000) -> np.ndarray:
+STATIONARY_TOL = 1e-12  # L1 change between power-iteration steps
+STATIONARY_MAX_ITER = 100_000
+
+
+def stationary_vector(ulam: UlamMatrix) -> np.ndarray:
     """Left fixed vector of the Ulam matrix by plain power iteration."""
     n = ulam.n_cells
     mt = ulam.matrix.T.tocsr()
     p = np.full(n, 1.0 / n)
-    for _ in range(max_iter):
+    for _ in range(STATIONARY_MAX_ITER):
         q = mt @ p
         q /= q.sum()
-        if np.abs(q - p).sum() < tol:
+        if np.abs(q - p).sum() < STATIONARY_TOL:
             return q
         p = q
     raise ConvergenceError(
-        f"power iteration did not reach {tol} in {max_iter} steps"
+        f"power iteration did not reach {STATIONARY_TOL} in "
+        f"{STATIONARY_MAX_ITER} steps"
     )
 
 
@@ -232,20 +230,17 @@ def _cached(cache: OrderedDict, key, build):
     return cache[key]
 
 
-def _cached_ulam(imap: IntervalMap, n_cells: int, tol: float = 1e-12):
+def _cached_ulam(imap: IntervalMap, n_cells: int):
     def build():
         u = ulam_matrix(imap, n_cells)
-        return u, stationary_vector(u, tol=tol)
+        return u, stationary_vector(u)
 
-    return _cached(_ULAM_CACHE, (imap.label, n_cells, tol), build)
+    return _cached(_ULAM_CACHE, (imap.label, n_cells), build)
 
 
-def invariant_density(imap: IntervalMap, n_cells: int,
-                      tol: float = 1e-12) -> MeasureDensity:
+def invariant_density(imap: IntervalMap, n_cells: int) -> MeasureDensity:
     """Invariant density estimate from the Ulam fixed vector."""
-    if tol <= 0:
-        raise InvalidInputError("tolerance must be positive")
-    u, p = _cached_ulam(imap, n_cells, tol=tol)
+    u, p = _cached_ulam(imap, n_cells)
     a, b = imap.domain
     grid = QuadratureGrid.midpoint(a, b, n_cells)
     return MeasureDensity.from_masses(grid, p, name=f"{imap.label}-ulam-{n_cells}")
@@ -280,30 +275,11 @@ def resolve_measure(imap: IntervalMap, grid: QuadratureGrid) -> MeasureDensity:
     return invariant_density(imap, grid.size)
 
 
-def koopman_apply(imap: IntervalMap, f: GridFunction) -> GridFunction:
-    """f o T by linear interpolation between nodes."""
-    return f.with_values(f.interpolate(imap(f.grid.nodes)))
-
-
 def transfer_apply(imap: IntervalMap, nu: MeasureDensity,
                    f: GridFunction) -> GridFunction:
     """One application of the transfer operator (branch-sum backend)."""
     op = make_backend(imap, nu, kind="branch")
     return f.with_values(op.apply(f.values))
-
-
-def transfer_power(imap: IntervalMap, nu: MeasureDensity, f: GridFunction,
-                   n: int) -> list:
-    """[P f, P^2 f, ..., P^n f]."""
-    if n < 1:
-        raise InvalidInputError("n must be >= 1")
-    op = make_backend(imap, nu, kind="branch")
-    out = []
-    v = f.values
-    for _ in range(n):
-        v = op.apply(v)
-        out.append(f.with_values(v))
-    return out
 
 
 def duality_residual(imap: IntervalMap, nu: MeasureDensity, f: GridFunction,

@@ -39,6 +39,19 @@ def test_requires_centered_observable(doubling, doubling_nu):
         norm_decay_sequence(doubling, doubling_nu, h, 2, 8)
 
 
+def test_unsupported_exponent_raises_before_any_apply(doubling, doubling_nu,
+                                                     monkeypatch):
+    h = build_observable("cos1", doubling, doubling_nu).grid_function
+    op = make_backend(doubling, doubling_nu)
+    calls = []
+    real = type(op).apply
+    monkeypatch.setattr(type(op), "apply",
+                        lambda self, v: calls.append(1) or real(self, v))
+    with pytest.raises(FitError):
+        norm_decay_sequence(doubling, doubling_nu, h, 3, 8)
+    assert len(calls) == 0
+
+
 def test_doubling_cos_annihilates(doubling, doubling_nu):
     obs = build_observable("cos1", doubling, doubling_nu)
     l2 = norm_decay_sequence(doubling, doubling_nu, obs.grid_function, 2, 8)

@@ -8,7 +8,6 @@ from ergolab import (
     gordin_decompose,
     lp_norm,
     make_backend,
-    martingale_part,
     resolve_measure,
     resolvent,
     sigma_green_kubo,
@@ -82,12 +81,11 @@ def test_resolvent_rejects_nonpositive_eps(doubling, doubling_nu):
 
 
 def test_martingale_part_annihilated(doubling, doubling_nu):
-    from ergolab.transfer import make_backend
-
+    # h_eps = f_eps - U P f_eps satisfies P h_eps = 0
     h = build_observable("cos1", doubling, doubling_nu).grid_function
-    h_eps = martingale_part(doubling, doubling_nu, h, 0.05, tail_tol=1e-9)
+    f_eps = resolvent(doubling, doubling_nu, h, 0.05, tail_tol=1e-9).values
     op = make_backend(doubling, doubling_nu)
-    ph = op.apply(h_eps.values)
+    ph = op.apply(f_eps - op.koopman(op.apply(f_eps)))
     assert np.sqrt((ph**2) @ doubling_nu.masses) < 1e-7
 
 

@@ -1,10 +1,9 @@
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from ergolab import builtin_map, orbit, preimages
+from ergolab import builtin_map
 from ergolab.errors import ConfigurationError, DomainError
 
 
@@ -86,37 +85,34 @@ def test_chebyshev_semigroup():
 
 def test_chebyshev_preimages_of_zero():
     m = builtin_map("chebyshev:2")
-    pre = preimages(m, 0.0)
-    ys = sorted(p[0] for p in pre)
+    ys = [br.inverse(np.array(0.0)) for br in m.branches]
     root = math.sqrt(2) / 2
-    assert np.allclose(ys, [-root, root], atol=1e-10)
+    assert np.allclose(sorted(ys), [-root, root], atol=1e-10)
     # |T'| = 2|sin(2 theta)|/|sin theta| = 2 sqrt(2) at theta = pi/4
-    for _, d in pre:
-        assert np.isclose(d, 2 * math.sqrt(2), atol=1e-8)
+    for br, y in zip(m.branches, ys):
+        assert np.isclose(br.deriv_mag(y), 2 * math.sqrt(2), atol=1e-8)
 
 
 def test_preimages_cover_forward_point(rng):
+    # every branch covers the whole domain, so each x has one preimage per
+    # branch, inside that branch
     for spec in ["doubling", "lsv:0.25", "chebyshev:3", "manneville_pomeau:0.5"]:
         m = builtin_map(spec)
         a, b = m.domain
-        for x in rng.uniform(a + 0.01, b - 0.01, size=5):
-            for y, d in preimages(m, float(x)):
-                assert abs(float(m(np.array([y]))[0]) - x) < 1e-9
-                assert d > 0
-
-
-def test_doubling_exact_rational_orbit():
-    m = builtin_map("doubling")
-    ys = orbit(m, Fraction(1, 7), 6)
-    assert ys == [Fraction(1, 7), Fraction(2, 7), Fraction(4, 7),
-                  Fraction(1, 7), Fraction(2, 7), Fraction(4, 7)]
+        x = rng.uniform(a + 0.01, b - 0.01, size=5)
+        for br in m.branches:
+            y = br.inverse(x)
+            assert np.all((y >= br.lo) & (y <= br.hi))
+            assert np.max(np.abs(m(y) - x)) < 1e-9
+            assert np.all(br.deriv_mag(y) > 0)
 
 
 def test_float_orbit_stays_in_domain():
     m = builtin_map("lsv:0.25")
-    ys = orbit(m, 0.3, 500)
-    assert ys.shape == (500,)
-    assert np.all((ys >= 0) & (ys <= 1))
+    y = np.array(0.3)
+    for _ in range(500):
+        y = m.step(y)
+        assert 0.0 <= y <= 1.0
 
 
 def test_default_grid_adapts_to_measure():

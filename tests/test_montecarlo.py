@@ -9,11 +9,11 @@ import pytest
 
 from ergolab import (
     EnsembleConfig,
+    PathEnsemble,
     build_observable,
     builtin_map,
     lp_norm,
     make_backend,
-    path_ensemble,
     resolve_measure,
     run_ensemble,
     sample_invariant,
@@ -412,16 +412,8 @@ def test_variance_growth_requires_increasing():
 def test_path_ensemble_scaling():
     m = builtin_map("doubling")
     h = lambda y: np.cos(2 * np.pi * y)
-    pe = path_ensemble(m, h, sigma=np.sqrt(0.5), cfg=_cfg(), m=16)
     run = run_ensemble(m, h, _cfg())
+    pe = PathEnsemble.from_run(run, sigma=np.sqrt(0.5), m=16)
     assert np.allclose(pe.terminal, run.S / (np.sqrt(0.5) * 8.0))
     header = pe.functionals_csv().splitlines()[0]
     assert header == "sample_index,sup,terminal,occupation"
-
-
-def test_path_ensemble_preconditions():
-    m = builtin_map("doubling")
-    with pytest.raises(PreconditionError):
-        path_ensemble(m, lambda y: y, sigma=0.0, cfg=_cfg(), m=16)
-    with pytest.raises(PreconditionError):
-        path_ensemble(m, lambda y: y, sigma=1.0, cfg=_cfg(), m=24)

@@ -4,13 +4,14 @@ import pytest
 from ergolab import (
     EnsembleConfig,
     LimitTestReport,
+    PathEnsemble,
     builtin_map,
     clt_test,
     clt_threshold,
     fclt_test,
     ks_statistic,
-    path_ensemble,
     reference_cdf,
+    run_ensemble,
 )
 from ergolab.errors import InvalidInputError, ParameterError, PreconditionError
 
@@ -102,7 +103,8 @@ def test_clt_test_degenerate_branch():
 def _doubling_paths(sigma=np.sqrt(0.5)):
     m = builtin_map("doubling")
     cfg = EnsembleConfig(samples=4096, n=1024, seed=42)
-    return path_ensemble(m, lambda y: np.cos(2 * np.pi * y), sigma, cfg, m=64)
+    run = run_ensemble(m, lambda y: np.cos(2 * np.pi * y), cfg)
+    return PathEnsemble.from_run(run, sigma, 64)
 
 
 def test_fclt_test_passes_on_martingale_observable():

@@ -6,12 +6,10 @@ from ergolab import (
     builtin_map,
     duality_residual,
     invariant_density,
-    koopman_apply,
     lp_norm,
     make_backend,
     resolve_measure,
     transfer_apply,
-    transfer_power,
     ulam_matrix,
 )
 from ergolab.errors import InvalidInputError
@@ -49,20 +47,6 @@ def test_invariant_density_lsv_shape():
     assert abs(nu.masses.sum() - 1.0) < 1e-12
 
 
-def test_invariant_density_honours_tol_after_loose_call():
-    # a loose call must not leave its vector behind for a tighter one
-    m = builtin_map("lsv:0.25")
-    invariant_density(m, 200, tol=1e-2)
-    nu = invariant_density(m, 200, tol=1e-13)
-    mt = ulam_matrix(m, 200).matrix.T
-    assert np.abs(mt @ nu.masses - nu.masses).sum() < 1e-10
-
-
-def test_ulam_text_header():
-    u = ulam_matrix(builtin_map("doubling"), 16)
-    assert u.to_text().startswith("# ulam N=16 map=doubling")
-
-
 @pytest.mark.parametrize("spec", ["doubling", "chebyshev:2", "lsv:0.25"])
 def test_backend_structural_properties(spec, rng):
     m = builtin_map(spec)
@@ -91,6 +75,13 @@ def test_backend_selection():
         make_backend(cheb, nu, kind="spectral")
 
 
+def test_branch_backend_needs_a_pdf():
+    # an Ulam measure has no closed-form pdf to weight the preimage sums
+    lsv = builtin_map("lsv:0.25")
+    with pytest.raises(InvalidInputError):
+        make_backend(lsv, invariant_density(lsv, 256), kind="branch")
+
+
 def test_doubling_fourier_cascade(doubling, doubling_nu):
     # P cos(4 pi y) = cos(2 pi y), P cos(2 pi y) = 0
     nodes = doubling_nu.grid.nodes
@@ -115,33 +106,36 @@ def test_chebyshev_branch_average_formula(cheb2, cheb2_nu):
     assert np.max(np.abs(pf.values - explicit)) < 1e-6
 
 
-def test_koopman_isometry(cheb2, cheb2_nu):
-    f = GridFunction.from_callable(
-        lambda y: np.sin(2 * np.pi * y) + 0.2 * y, cheb2_nu
-    )
-    uf = koopman_apply(cheb2, f)
-    assert abs(lp_norm(uf, 2) - lp_norm(f, 2)) < 2e-3
+def test_koopman_isometry():
+    # U f = f o T preserves the L2(nu) norm of every f, up to interpolation
+    for spec in ("doubling", "chebyshev:2"):
+        m = builtin_map(spec)
+        nu = resolve_measure(m, m.default_grid(1024))
+        f = GridFunction.from_callable(
+            lambda y: np.sin(2 * np.pi * y) + 0.2 * y, nu
+        )
+        uf = f.with_values(make_backend(m, nu).koopman(f.values))
+        assert abs(lp_norm(uf, 2) - lp_norm(f, 2)) < 2e-3
 
 
 def test_transfer_undoes_koopman(doubling, doubling_nu):
     f = GridFunction.from_callable(lambda y: np.cos(2 * np.pi * y) + y**2,
                                    doubling_nu)
-    puf = transfer_apply(doubling, doubling_nu, koopman_apply(doubling, f))
+    uf = make_backend(doubling, doubling_nu).koopman(f.values)
+    puf = transfer_apply(doubling, doubling_nu, f.with_values(uf))
     assert lp_norm(puf - f, 2) < 5e-3
 
 
 def test_transfer_power_matches_repeated_apply(doubling, doubling_nu):
-    f = GridFunction.from_callable(lambda y: np.sin(2 * np.pi * y), doubling_nu)
-    powers = transfer_power(doubling, doubling_nu, f, 3)
-    v = f
-    for p in powers:
-        v = transfer_apply(doubling, doubling_nu, v)
-        # transfer_power returns P f, P^2 f, ... in order
-    assert len(powers) == 3
-    assert np.allclose(
-        powers[1].values,
-        transfer_apply(doubling, doubling_nu, powers[0]).values,
-    )
+    # P cos(2^(k+1) pi y) = cos(2^k pi y) for k >= 1, and P cos(2 pi y) = 0,
+    # so P^1..P^3 of cos(8 pi y) step down the cascade in order
+    op = make_backend(doubling, doubling_nu)
+    nodes = doubling_nu.grid.nodes
+    v = np.cos(8 * np.pi * nodes)
+    for expected in (np.cos(4 * np.pi * nodes), np.cos(2 * np.pi * nodes),
+                     np.zeros_like(nodes)):
+        v = op.apply(v)
+        assert np.max(np.abs(v - expected)) < 1e-5
 
 
 def test_duality_residual_small_and_refining():
