@@ -67,7 +67,6 @@ class Branch:
     forward: Callable
     inverse: Callable
     deriv_mag: Callable
-    increasing: bool = True
 
     @property
     def range(self):
@@ -226,7 +225,7 @@ def _chebyshev(n: int) -> IntervalMap:
             ntheta = k * math.pi + np.where(k % 2 == 0, phi, math.pi - phi)
             return np.cos(ntheta / n)
 
-        branches.append(Branch(lo, hi, fwd, inv, deriv, increasing=(k % 2 == 0)))
+        branches.append(Branch(lo, hi, fwd, inv, deriv))
 
     arcsine = lambda y: 1.0 / (np.pi * np.sqrt(np.maximum(1.0 - np.asarray(y, float) ** 2, 1e-300)))
     return IntervalMap(

@@ -10,11 +10,12 @@ Two interchangeable backends realize the transfer operator:
   which raw midpoint quadrature only gives to a few 1e-6 for singular
   densities.
 
-* ``UlamTransferOperator`` -- the density-free Ulam route.  The cell
-  transition matrix is a genuine finite Markov operator and its stationary
-  vector is exact for it, so P1 = 1, mean preservation and the L^p
-  contractions hold to machine precision by construction.  This is the
-  default for maps without a closed-form invariant density.
+* ``UlamTransferOperator`` -- the density-free Ulam route on the grid's
+  own cells, uniform or not.  The cell transition matrix is a genuine
+  finite Markov operator and its stationary vector is exact for it, so
+  P1 = 1, mean preservation and the L^p contractions hold to machine
+  precision by construction.  This is the default for maps without a
+  closed-form invariant density.
 """
 
 from __future__ import annotations
@@ -112,7 +113,8 @@ class BranchTransferOperator:
 
 
 class UlamTransferOperator:
-    """Transfer operator through the Ulam matrix and its stationary vector.
+    """Transfer operator through the Ulam matrix on the grid's cells and
+    its stationary vector.
 
     Acting on functions: (P f) = ((p*f) M) / p where p is the stationary
     cell-mass vector; the Koopman companion is f -> M f (conditional
@@ -121,17 +123,16 @@ class UlamTransferOperator:
 
     kind = "ulam"
 
-    def __init__(self, imap: IntervalMap, ulam: "UlamMatrix",
-                 stationary: np.ndarray, grid: QuadratureGrid):
+    def __init__(self, imap: IntervalMap, grid: QuadratureGrid):
         self.imap = imap
-        self.ulam = ulam
         self.grid = grid
-        self.p = stationary
+        self.ulam = ulam_matrix(imap, grid)
+        self.p = stationary_vector(self.ulam)
         self.measure = MeasureDensity.from_masses(
-            grid, stationary, name=f"{imap.label}-ulam-{ulam.n_cells}"
+            grid, self.p, name=f"{imap.label}-ulam-{grid.size}"
         )
-        self._mt = ulam.matrix.T.tocsr()
-        self._m = ulam.matrix
+        self._mt = self.ulam.matrix.T.tocsr()
+        self._m = self.ulam.matrix
 
     def apply(self, values: np.ndarray) -> np.ndarray:
         return (self._mt @ (self.p * values)) / self.p
@@ -151,45 +152,42 @@ class UlamMatrix:
         return float(np.max(np.abs(self.matrix.sum(axis=1) - 1.0)))
 
 
-def ulam_matrix(imap: IntervalMap, n_cells: int) -> UlamMatrix:
-    """Assemble the Ulam matrix from exact branch-inverse interval lengths."""
-    if n_cells < 16:
+def ulam_matrix(imap: IntervalMap, grid: QuadratureGrid) -> UlamMatrix:
+    """Assemble the Ulam matrix on ``grid.cell_edges()`` from exact
+    branch-inverse interval lengths: each branch pulls the x-edges in its
+    range back to y, and each pulled-back segment, which maps into one
+    x-cell j, is spread over the y-cells i it overlaps."""
+    n = grid.size
+    if n < 16:
         raise InvalidInputError("Ulam discretization needs at least 16 cells")
-    a, b = imap.domain
-    width = (b - a) / n_cells
-    edges = a + np.arange(n_cells + 1) * width
-    rows, cols, vals = [], [], []
+    if (grid.a, grid.b) != tuple(imap.domain):
+        raise InvalidInputError("Ulam cells must span the map's domain")
+    edges = grid.cell_edges()
+    width = np.diff(edges)
+
+    def cell(v):
+        return np.minimum(np.searchsorted(edges, v, side="right") - 1, n - 1)
+
+    parts = []
     for br in imap.branches:
-        rlo, rhi = br.range
-        # x-cell boundaries covered by this branch's image, pulled back to y
-        k_lo = int(np.searchsorted(edges, rlo, side="left"))
-        k_hi = int(np.searchsorted(edges, rhi, side="right")) - 1
-        xs = np.unique(np.concatenate([[rlo], edges[max(k_lo, 0):k_hi + 1], [rhi]]))
-        xs = xs[(xs >= rlo - 1e-15) & (xs <= rhi + 1e-15)]
-        ys = np.clip(br.inverse(np.clip(xs, rlo, rhi)), br.lo, br.hi)
-        if not br.increasing:
-            ys = ys[::-1]
-            xs = xs[::-1]
-        # each consecutive y pair maps into a single x-cell
-        for k in range(len(ys) - 1):
-            ylo, yhi = sorted((float(ys[k]), float(ys[k + 1])))
-            if yhi - ylo <= 0:
-                continue
-            xmid = 0.5 * (xs[k] + xs[k + 1])
-            j = min(int((xmid - a) / width), n_cells - 1)
-            i0 = min(int((ylo - a) / width), n_cells - 1)
-            i1 = min(int((yhi - a) / width), n_cells - 1)
-            for i in range(i0, i1 + 1):
-                seg = min(yhi, edges[i + 1]) - max(ylo, edges[i])
-                if seg > 0:
-                    rows.append(i)
-                    cols.append(j)
-                    vals.append(seg / width)
-    m = coo_matrix((vals, (rows, cols)), shape=(n_cells, n_cells)).tocsr()
+        xs = np.unique(np.clip(edges, *br.range))
+        ys = np.clip(br.inverse(xs), br.lo, br.hi)
+        ylo, yhi = np.minimum(ys[:-1], ys[1:]), np.maximum(ys[:-1], ys[1:])
+        j = cell(0.5 * (xs[:-1] + xs[1:]))
+        i0 = cell(ylo)
+        counts = cell(yhi) - i0 + 1
+        seg = np.repeat(np.arange(j.size), counts)
+        i = i0[seg] + np.arange(seg.size) - (np.cumsum(counts) - counts)[seg]
+        overlap = (np.minimum(yhi[seg], edges[i + 1])
+                   - np.maximum(ylo[seg], edges[i]))
+        parts.append((overlap / width[i], i, j[seg]))
+    vals, rows, cols = map(np.concatenate, zip(*parts))
+    m = coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
+    m.eliminate_zeros()  # segment ends that sit on a y-edge
     # kill accumulated roundoff so rows are stochastic to machine precision
     rs = np.asarray(m.sum(axis=1)).ravel()
     m = csr_matrix(m.multiply(1.0 / rs[:, None]))
-    return UlamMatrix(n_cells, m)
+    return UlamMatrix(n, m)
 
 
 STATIONARY_TOL = 1e-12  # L1 change between power-iteration steps
@@ -214,7 +212,7 @@ def stationary_vector(ulam: UlamMatrix) -> np.ndarray:
 
 
 # LRU caches keyed on content (maps, grids and measures are immutable); one
-# run builds Ulam matrices at N/4, N/2 and N cells.
+# run builds Ulam operators at N/4, N/2 and N cells.
 _CACHE_SIZE = 8
 _ULAM_CACHE: OrderedDict = OrderedDict()
 _OP_CACHE: OrderedDict = OrderedDict()
@@ -230,25 +228,30 @@ def _cached(cache: OrderedDict, key, build):
     return cache[key]
 
 
-def _cached_ulam(imap: IntervalMap, n_cells: int):
-    def build():
-        u = ulam_matrix(imap, n_cells)
-        return u, stationary_vector(u)
+def _digest(*arrays) -> str:
+    digest = hashlib.sha256()
+    for arr in arrays:
+        digest.update(arr.tobytes())
+    return digest.hexdigest()
 
-    return _cached(_ULAM_CACHE, (imap.label, n_cells), build)
+
+def _cached_ulam(imap: IntervalMap,
+                 grid: QuadratureGrid) -> UlamTransferOperator:
+    key = (imap.label, grid.a, grid.b, _digest(grid.nodes, grid.weights))
+    return _cached(_ULAM_CACHE, key, lambda: UlamTransferOperator(imap, grid))
 
 
 def invariant_density(imap: IntervalMap, n_cells: int) -> MeasureDensity:
-    """Invariant density estimate from the Ulam fixed vector."""
-    u, p = _cached_ulam(imap, n_cells)
-    a, b = imap.domain
-    grid = QuadratureGrid.midpoint(a, b, n_cells)
-    return MeasureDensity.from_masses(grid, p, name=f"{imap.label}-ulam-{n_cells}")
+    """Invariant density estimate from the Ulam fixed vector on the uniform
+    midpoint grid of n_cells cells."""
+    grid = QuadratureGrid.midpoint(*imap.domain, n_cells)
+    return _cached_ulam(imap, grid).measure
 
 
 def make_backend(imap: IntervalMap, measure: MeasureDensity, kind: str = "auto"):
     """Operator backend for (map, measure); 'auto' prefers the exact
-    branch-sum form for closed-form densities and Ulam otherwise."""
+    branch-sum form for closed-form densities and Ulam, on the measure's
+    grid, otherwise."""
     if kind == "auto":
         kind = "branch" if measure.closed_form else "ulam"
     if kind not in ("branch", "ulam"):
@@ -257,22 +260,20 @@ def make_backend(imap: IntervalMap, measure: MeasureDensity, kind: str = "auto")
     def build():
         if kind == "branch":
             return BranchTransferOperator(imap, measure)
-        u, p = _cached_ulam(imap, measure.grid.size)
-        return UlamTransferOperator(imap, u, p, measure.grid)
+        return _cached_ulam(imap, measure.grid)
 
-    digest = hashlib.sha256()
-    for arr in (measure.grid.nodes, measure.grid.weights, measure.values,
-                measure.masses):
-        digest.update(arr.tobytes())
-    return _cached(_OP_CACHE, (imap.label, kind, digest.hexdigest()), build)
+    key = _digest(measure.grid.nodes, measure.grid.weights, measure.values,
+                  measure.masses)
+    return _cached(_OP_CACHE, (imap.label, kind, key), build)
 
 
 def resolve_measure(imap: IntervalMap, grid: QuadratureGrid) -> MeasureDensity:
-    """Closed-form invariant measure when the map carries one, Ulam otherwise."""
+    """Closed-form invariant measure when the map carries one, the Ulam
+    measure on ``grid`` otherwise."""
     m = imap.closed_form_measure(grid)
     if m is not None:
         return m
-    return invariant_density(imap, grid.size)
+    return _cached_ulam(imap, grid).measure
 
 
 def transfer_apply(imap: IntervalMap, nu: MeasureDensity,

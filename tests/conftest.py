@@ -1,7 +1,16 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from ergolab import builtin_map, resolve_measure
+
+# `python -m ergolab` in a subprocess imports the same source tree as the
+# tests (pyproject's pytest `pythonpath`), installed or not
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, [str(Path(__file__).resolve().parents[1] / "src"),
+                  os.environ.get("PYTHONPATH")]))
 
 
 @pytest.fixture(scope="session")

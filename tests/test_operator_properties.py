@@ -18,13 +18,16 @@ FEW = settings(max_examples=12, deadline=None)
 gammas = st.floats(min_value=0.05, max_value=0.95)
 cells = st.integers(min_value=128, max_value=512)
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
+# chebyshev's default grid has cosine-spaced, non-uniform cells
+chebyshevs = st.integers(min_value=2, max_value=6).map(lambda k: f"chebyshev:{k}")
 ulam_maps = st.one_of(
     gammas.map(lambda g: f"lsv:{g}"),
     gammas.map(lambda g: f"manneville_pomeau:{g}"),
     st.just("doubling"),
+    chebyshevs,
 )
 branch_maps = st.one_of(
-    st.integers(min_value=2, max_value=6).map(lambda k: f"chebyshev:{k}"),
+    chebyshevs,
     st.just("doubling"),
 )
 

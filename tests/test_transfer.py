@@ -3,6 +3,7 @@ import pytest
 
 from ergolab import (
     GridFunction,
+    QuadratureGrid,
     builtin_map,
     duality_residual,
     invariant_density,
@@ -16,9 +17,14 @@ from ergolab.errors import InvalidInputError
 from ergolab.transfer import stationary_vector
 
 
+def _graded(n):
+    # n cells on [0, 1], refined towards 0
+    return QuadratureGrid.from_nodes(0, 1, np.linspace(0, 1, n + 2)[1:-1] ** 2)
+
+
 def test_ulam_doubling_rows():
     m = builtin_map("doubling")
-    u = ulam_matrix(m, 16)
+    u = ulam_matrix(m, m.default_grid(16))
     dense = u.matrix.toarray()
     # cell i maps onto cells 2i and 2i+1 (mod 16), half mass each
     for i in range(16):
@@ -29,15 +35,42 @@ def test_ulam_doubling_rows():
 
 
 def test_ulam_rejects_tiny_grids():
+    m = builtin_map("doubling")
     with pytest.raises(InvalidInputError):
-        ulam_matrix(builtin_map("doubling"), 8)
+        ulam_matrix(m, m.default_grid(8))
+
+
+def test_ulam_rejects_a_grid_off_the_domain():
+    with pytest.raises(InvalidInputError):
+        ulam_matrix(builtin_map("doubling"), QuadratureGrid.midpoint(0, 2, 64))
 
 
 def test_stationary_vector_doubling_uniform():
     m = builtin_map("doubling")
-    u = ulam_matrix(m, 64)
+    u = ulam_matrix(m, m.default_grid(64))
     p = stationary_vector(u)
     assert np.allclose(p, 1.0 / 64, atol=1e-10)
+
+
+def test_ulam_on_graded_cells_keeps_lebesgue_for_doubling():
+    # doubling preserves Lebesgue measure, so the Ulam fixed vector on any
+    # cells is their widths
+    grid = _graded(1024)
+    p = stationary_vector(ulam_matrix(builtin_map("doubling"), grid))
+    assert np.abs(p - grid.weights).sum() < 1e-11
+
+
+def test_resolve_measure_keeps_its_grid():
+    grid = _graded(1024)
+    assert resolve_measure(builtin_map("lsv:0.25"), grid).grid.same_as(grid)
+
+
+def test_ulam_backend_on_chebyshev_cells():
+    # the arcsine law has E[y^2] = 1/2; the Ulam measure must live on the
+    # cosine grid's own cells to give it
+    m = builtin_map("chebyshev:2")
+    op = make_backend(m, resolve_measure(m, m.default_grid(1024)), kind="ulam")
+    assert abs(op.measure.grid.nodes ** 2 @ op.measure.masses - 0.5) < 1e-3
 
 
 def test_invariant_density_lsv_shape():
@@ -180,6 +213,11 @@ def test_operator_cache_is_keyed_on_content():
         make_backend(lsv, invariant_density(lsv, n))
     assert len(transfer._OP_CACHE) == transfer._CACHE_SIZE
     assert len(transfer._ULAM_CACHE) == transfer._CACHE_SIZE
+    # uniform and graded cells of the same count are two Ulam operators
+    transfer._ULAM_CACHE.clear()
+    for grid in (lsv.default_grid(256), _graded(256)) * 2:
+        make_backend(lsv, resolve_measure(lsv, grid))
+    assert len(transfer._ULAM_CACHE) == 2
 
 
 def test_one_run_builds_each_ulam_matrix_once(monkeypatch):
@@ -189,7 +227,8 @@ def test_one_run_builds_each_ulam_matrix_once(monkeypatch):
     built = []
     real = transfer.ulam_matrix
     monkeypatch.setattr(transfer, "ulam_matrix",
-                        lambda imap, n: built.append(n) or real(imap, n))
+                        lambda imap, grid: built.append(grid.size)
+                        or real(imap, grid))
     transfer._ULAM_CACHE.clear()
     m = builtin_map("lsv:0.25")
     nu = resolve_measure(m, m.default_grid(1024))
