@@ -1,11 +1,12 @@
 """Grids, measures and L^p geometry on an interval.
 
 Everything downstream (operators, decay diagnostics, variance estimators)
-reduces to quadrature sums against an invariant measure.  The default grid
-is a composite midpoint rule on N uniform cells: nodes at cell centers,
-Lebesgue weights equal to the cell width.  A measure attaches a per-node
-mass to the same nodes; integration of f against the measure is then
-``sum(f(x_i) * mass_i)``.
+reduces to quadrature sums against an invariant measure.  A grid is a
+partition of the interval into cells, given by its edges, plus one node
+inside each cell; its Lebesgue weights are the cell widths.  The default
+grid has N uniform cells with a node at each center (the composite
+midpoint rule).  A measure attaches a per-cell mass to the same nodes;
+integration of f against the measure is then ``sum(f(x_i) * mass_i)``.
 
 Masses are computed three ways, in decreasing order of accuracy:
 
@@ -38,54 +39,56 @@ __all__ = [
 
 @dataclass(frozen=True)
 class QuadratureGrid:
-    """Midpoint-rule quadrature grid on a closed interval."""
+    """Cells of an interval, given by their edges, with one node per cell."""
 
-    a: float
-    b: float
+    edges: np.ndarray
     nodes: np.ndarray
-    weights: np.ndarray
 
     def __post_init__(self):
+        edges = np.asarray(self.edges, dtype=float)
         nodes = np.asarray(self.nodes, dtype=float)
-        weights = np.asarray(self.weights, dtype=float)
+        object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "weights", weights)
-        if nodes.ndim != 1 or weights.shape != nodes.shape:
-            raise InvalidInputError("nodes and weights must be 1-d and congruent")
-        if np.any(np.diff(nodes) <= 0):
-            raise InvalidInputError("grid nodes must be strictly increasing")
-        if nodes[0] < self.a or nodes[-1] > self.b:
-            raise InvalidInputError("grid nodes must lie inside the domain")
-        if np.any(weights <= 0):
-            raise InvalidInputError("quadrature weights must be positive")
+        if nodes.size < 2:
+            raise InvalidInputError("need at least two cells")
+        if nodes.ndim != 1 or edges.shape != (nodes.size + 1,):
+            raise InvalidInputError("need 1-d nodes and one more edge than nodes")
+        if not (np.all(np.diff(edges) > 0) and np.all(np.diff(nodes) > 0)):
+            raise InvalidInputError("grid edges and nodes must be strictly increasing")
+        if not np.all((edges[:-1] <= nodes) & (nodes <= edges[1:])):
+            raise InvalidInputError("each grid node must lie inside its cell")
 
     @classmethod
     def midpoint(cls, a: float, b: float, n: int) -> "QuadratureGrid":
         """Uniform N-cell grid with nodes at cell centers."""
-        if n < 1:
-            raise InvalidInputError("need at least one cell")
+        if n < 2:
+            raise InvalidInputError("need at least two cells")
         h = (b - a) / n
-        nodes = a + (np.arange(n) + 0.5) * h
-        return cls(a, b, nodes, np.full(n, h))
+        return cls(np.linspace(a, b, n + 1), a + (np.arange(n) + 0.5) * h)
 
     @classmethod
     def from_nodes(cls, a: float, b: float, nodes) -> "QuadratureGrid":
         """Non-uniform grid from explicit nodes; each node's cell runs to
         the midpoints of its neighbors (boundary cells end at a, b)."""
         nodes = np.asarray(nodes, dtype=float)
-        if nodes.size < 2:
-            raise InvalidInputError("need at least two nodes")
-        edges = np.concatenate([[a], 0.5 * (nodes[1:] + nodes[:-1]), [b]])
-        return cls(a, b, nodes, np.diff(edges))
+        return cls(np.concatenate([[a], 0.5 * (nodes[1:] + nodes[:-1]), [b]]),
+                   nodes)
+
+    @property
+    def a(self) -> float:
+        return float(self.edges[0])
+
+    @property
+    def b(self) -> float:
+        return float(self.edges[-1])
+
+    @property
+    def weights(self) -> np.ndarray:
+        return np.diff(self.edges)
 
     @property
     def size(self) -> int:
         return self.nodes.size
-
-    def cell_edges(self) -> np.ndarray:
-        return np.concatenate(
-            [[self.a], 0.5 * (self.nodes[1:] + self.nodes[:-1]), [self.b]]
-        )
 
     def locate(self, y):
         """Linear-interpolation stencil for arbitrary points.
@@ -103,12 +106,8 @@ class QuadratureGrid:
         return j, t
 
     def same_as(self, other: "QuadratureGrid") -> bool:
-        return (
-            self.size == other.size
-            and self.a == other.a
-            and self.b == other.b
-            and np.array_equal(self.nodes, other.nodes)
-        )
+        return (np.array_equal(self.edges, other.edges)
+                and np.array_equal(self.nodes, other.nodes))
 
 
 @dataclass(frozen=True)
@@ -116,7 +115,7 @@ class MeasureDensity:
     """A probability measure represented by density values on a grid.
 
     ``masses`` is what quadrature actually uses; it always sums to one.
-    ``closed_form`` distinguishes analytically known densities from
+    ``pdf`` is set for analytically known densities and None for
     numerically estimated ones (Ulam / histogram output).
     """
 
@@ -124,10 +123,7 @@ class MeasureDensity:
     values: np.ndarray
     masses: np.ndarray
     name: str = "measure"
-    closed_form: bool = False
     pdf: Optional[Callable] = None
-    cdf: Optional[Callable] = None
-    sampler: Optional[Callable] = None  # inverse-CDF sampler, U(0,1) -> Y
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
@@ -141,32 +137,19 @@ class MeasureDensity:
         if abs(masses.sum() - 1.0) > 1e-8:
             raise InvalidInputError("measure masses must sum to 1 within 1e-8")
 
+    @property
+    def closed_form(self) -> bool:
+        return self.pdf is not None
+
     @classmethod
-    def from_callable(
-        cls,
-        grid: QuadratureGrid,
-        pdf: Callable,
-        name: str,
-        cdf: Optional[Callable] = None,
-        sampler: Optional[Callable] = None,
-    ) -> "MeasureDensity":
+    def from_callable(cls, grid: QuadratureGrid, pdf: Callable, name: str,
+                      cdf: Optional[Callable] = None) -> "MeasureDensity":
         values = np.asarray(pdf(grid.nodes), dtype=float)
         if cdf is not None:
-            edges = grid.cell_edges()
-            masses = np.diff(np.asarray(cdf(edges), dtype=float))
+            masses = np.diff(np.asarray(cdf(grid.edges), dtype=float))
         else:
             masses = values * grid.weights
-        masses = masses / masses.sum()
-        return cls(
-            grid,
-            values,
-            masses,
-            name=name,
-            closed_form=True,
-            pdf=pdf,
-            cdf=cdf,
-            sampler=sampler,
-        )
+        return cls(grid, values, masses / masses.sum(), name=name, pdf=pdf)
 
     @classmethod
     def from_masses(
@@ -176,7 +159,7 @@ class MeasureDensity:
         masses = np.asarray(masses, dtype=float)
         masses = masses / masses.sum()
         values = masses / grid.weights
-        return cls(grid, values, masses, name=name, closed_form=False)
+        return cls(grid, values, masses, name=name)
 
     def to_csv(self) -> str:
         return (f"# measure={self.name} normalized=True\n"
@@ -185,9 +168,8 @@ class MeasureDensity:
 
 @dataclass(frozen=True)
 class GridFunction:
-    """An observable sampled on a quadrature grid, with its measure."""
+    """An observable sampled on the nodes of its measure's grid."""
 
-    grid: QuadratureGrid
     values: np.ndarray
     measure: MeasureDensity
 
@@ -198,15 +180,17 @@ class GridFunction:
             raise InvalidInputError("value count must match the grid")
         if np.any(~np.isfinite(values)):
             raise InvalidInputError("grid function values must be finite")
-        if not self.measure.grid.same_as(self.grid):
-            raise IncompatibleGridsError("measure lives on a different grid")
+
+    @property
+    def grid(self) -> QuadratureGrid:
+        return self.measure.grid
 
     @classmethod
     def from_callable(cls, fn: Callable, measure: MeasureDensity) -> "GridFunction":
-        return cls(measure.grid, np.asarray(fn(measure.grid.nodes), float), measure)
+        return cls(np.asarray(fn(measure.grid.nodes), float), measure)
 
     def with_values(self, values) -> "GridFunction":
-        return GridFunction(self.grid, values, self.measure)
+        return GridFunction(values, self.measure)
 
     def __sub__(self, other):
         return self.with_values(self.values - _vals(other))

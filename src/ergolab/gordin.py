@@ -114,7 +114,6 @@ def resolvent(imap: IntervalMap, nu: MeasureDensity, h: GridFunction,
 class GordinDecomposition:
     eps_schedule: List[float]
     f_eps: GridFunction
-    h_eps: GridFunction
     h_tilde: GridFunction
     martingale_residual: float
     cauchy_history: List[float]
@@ -149,11 +148,11 @@ def gordin_decompose(imap: IntervalMap, nu: MeasureDensity, h: GridFunction,
     h_parts, f_norms, res_residuals = [], [], []
     for e in eps_list:
         # one residual for all e bounds every ||f - f_e||_2 by tail_tol
-        f, _ = _solve_resolvent(op, h.values, e, f, eps_list[-1] * tail_tol)
-        pf = op.apply(f)
-        h_parts.append(f - op.koopman(pf))
+        f, residual = _solve_resolvent(op, h.values, e, f,
+                                       eps_list[-1] * tail_tol)
+        h_parts.append(f - op.koopman(op.apply(f)))
         f_norms.append(weighted_norm(f, masses))
-        res_residuals.append(weighted_norm((1 + e) * f - pf - h.values, masses))
+        res_residuals.append(residual)
 
     cauchy, slacks = [], []
     for k in range(1, len(eps_list)):
@@ -175,7 +174,6 @@ def gordin_decompose(imap: IntervalMap, nu: MeasureDensity, h: GridFunction,
     return GordinDecomposition(
         eps_schedule=eps_list,
         f_eps=h.with_values(f),
-        h_eps=h.with_values(h_parts[-1]),
         h_tilde=h_tilde,
         martingale_residual=weighted_norm(op.apply(h_tilde.values), masses),
         cauchy_history=cauchy,

@@ -122,7 +122,6 @@ class IntervalMap:
             self.density_pdf,
             name=f"{self.name}-invariant",
             cdf=self.density_cdf,
-            sampler=self.sampler,
         )
 
 

@@ -161,6 +161,6 @@ def build_observable(spec: str, imap: IntervalMap,
     mc_mean = mean
     if not nu.closed_form:
         mc_mean = _extrapolated_mean(raw, imap, nu.grid.size, mean)
-    gf = GridFunction(nu.grid, values - mean, nu)
+    gf = GridFunction(values - mean, nu)
     return Observable(spec=spec, raw=raw, mean=mean, grid_function=gf,
                       mc_mean=mc_mean)

@@ -145,7 +145,6 @@ class UlamTransferOperator:
 class UlamMatrix:
     """Row-stochastic cell-transition matrix M_ij = Leb(A_i n T^-1 A_j)/Leb(A_i)."""
 
-    n_cells: int
     matrix: csr_matrix
 
     def row_sum_defect(self) -> float:
@@ -153,7 +152,7 @@ class UlamMatrix:
 
 
 def ulam_matrix(imap: IntervalMap, grid: QuadratureGrid) -> UlamMatrix:
-    """Assemble the Ulam matrix on ``grid.cell_edges()`` from exact
+    """Assemble the Ulam matrix on ``grid.edges`` from exact
     branch-inverse interval lengths: each branch pulls the x-edges in its
     range back to y, and each pulled-back segment, which maps into one
     x-cell j, is spread over the y-cells i it overlaps."""
@@ -162,8 +161,7 @@ def ulam_matrix(imap: IntervalMap, grid: QuadratureGrid) -> UlamMatrix:
         raise InvalidInputError("Ulam discretization needs at least 16 cells")
     if (grid.a, grid.b) != tuple(imap.domain):
         raise InvalidInputError("Ulam cells must span the map's domain")
-    edges = grid.cell_edges()
-    width = np.diff(edges)
+    edges, width = grid.edges, grid.weights
 
     def cell(v):
         return np.minimum(np.searchsorted(edges, v, side="right") - 1, n - 1)
@@ -187,7 +185,7 @@ def ulam_matrix(imap: IntervalMap, grid: QuadratureGrid) -> UlamMatrix:
     # kill accumulated roundoff so rows are stochastic to machine precision
     rs = np.asarray(m.sum(axis=1)).ravel()
     m = csr_matrix(m.multiply(1.0 / rs[:, None]))
-    return UlamMatrix(n, m)
+    return UlamMatrix(m)
 
 
 STATIONARY_TOL = 1e-12  # L1 change between power-iteration steps
@@ -196,7 +194,7 @@ STATIONARY_MAX_ITER = 100_000
 
 def stationary_vector(ulam: UlamMatrix) -> np.ndarray:
     """Left fixed vector of the Ulam matrix by plain power iteration."""
-    n = ulam.n_cells
+    n = ulam.matrix.shape[0]
     mt = ulam.matrix.T.tocsr()
     p = np.full(n, 1.0 / n)
     for _ in range(STATIONARY_MAX_ITER):
@@ -237,7 +235,7 @@ def _digest(*arrays) -> str:
 
 def _cached_ulam(imap: IntervalMap,
                  grid: QuadratureGrid) -> UlamTransferOperator:
-    key = (imap.label, grid.a, grid.b, _digest(grid.nodes, grid.weights))
+    key = (imap.label, _digest(grid.edges, grid.nodes))
     return _cached(_ULAM_CACHE, key, lambda: UlamTransferOperator(imap, grid))
 
 
@@ -262,7 +260,7 @@ def make_backend(imap: IntervalMap, measure: MeasureDensity, kind: str = "auto")
             return BranchTransferOperator(imap, measure)
         return _cached_ulam(imap, measure.grid)
 
-    key = _digest(measure.grid.nodes, measure.grid.weights, measure.values,
+    key = _digest(measure.grid.edges, measure.grid.nodes, measure.values,
                   measure.masses)
     return _cached(_OP_CACHE, (imap.label, kind, key), build)
 

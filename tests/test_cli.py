@@ -58,6 +58,16 @@ def test_missing_observable_is_config_error(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("spec", ["doubling", "chebyshev:2"])
+def test_one_cell_is_config_error(capsys, spec):
+    # a grid needs two cells; one cell used to crash inside scipy for the
+    # uniform grid
+    code, payload = run_cli(capsys, "decay", "--map", spec, "--obs", "cos1",
+                            "--cells", "1")
+    assert code == 2
+    assert payload is None
+
+
 def test_decay_command(capsys, tmp_path):
     out = tmp_path / "rep"
     code, payload = run_cli(

@@ -27,21 +27,33 @@ def test_midpoint_grid_layout():
     g = QuadratureGrid.midpoint(0.0, 1.0, 4)
     assert np.allclose(g.nodes, [0.125, 0.375, 0.625, 0.875])
     assert np.allclose(g.weights, 0.25)
-    assert np.allclose(g.cell_edges(), [0.0, 0.25, 0.5, 0.75, 1.0])
+    assert np.array_equal(g.edges, [0.0, 0.25, 0.5, 0.75, 1.0])
+    # the edges are a + k*h, not node midpoints, also at cell counts that
+    # are not powers of two
+    g = QuadratureGrid.midpoint(0.0, 1.0, 1000)
+    assert np.array_equal(g.edges, np.linspace(0, 1, 1001))
 
 
 def test_from_nodes_grid():
     nodes = np.array([0.1, 0.2, 0.6, 0.9])
     g = QuadratureGrid.from_nodes(0.0, 1.0, nodes)
     assert np.allclose(g.weights.sum(), 1.0)
-    assert np.allclose(g.cell_edges(), [0.0, 0.15, 0.4, 0.75, 1.0])
+    assert np.allclose(g.edges, [0.0, 0.15, 0.4, 0.75, 1.0])
 
 
 def test_grid_rejects_bad_nodes():
-    with pytest.raises(InvalidInputError):
-        QuadratureGrid(0.0, 1.0, np.array([0.5, 0.25]), np.array([0.5, 0.5]))
-    with pytest.raises(InvalidInputError):
-        QuadratureGrid.midpoint(0.0, 1.0, 0)
+    for edges, nodes in [
+        ([0.0, 0.5, 1.0], [0.5, 0.25]),  # nodes that do not increase
+        ([0.0, 0.5, 1.0], [0.25, 0.9, 0.95]),  # one edge too few
+        ([0.0, 0.5, 1.0], [0.25, 0.4]),  # a node outside its cell
+        ([0.0, 0.6, 0.5, 1.0], [0.3, 0.55, 0.75]),  # edges that do not increase
+        ([0.0, 1.0], [0.5]),  # one cell
+    ]:
+        with pytest.raises(InvalidInputError):
+            QuadratureGrid(np.array(edges), np.array(nodes))
+    for n in (0, 1):
+        with pytest.raises(InvalidInputError):
+            QuadratureGrid.midpoint(0.0, 1.0, n)
 
 
 def test_locate_reproduces_nodes():
@@ -53,7 +65,7 @@ def test_locate_reproduces_nodes():
 
 def test_locate_linear_extrapolation_at_edges():
     g = QuadratureGrid.midpoint(0.0, 1.0, 8)
-    f = GridFunction(g, 2.0 * g.nodes + 1.0, uniform_measure(8))
+    f = GridFunction(2.0 * g.nodes + 1.0, uniform_measure(8))
     # a linear function must be reproduced exactly, including beyond the
     # outermost nodes
     probe = np.array([0.0, 0.01, 0.99, 1.0])
@@ -69,7 +81,7 @@ def test_exact_cdf_masses():
         cdf=lambda y: 0.5 + np.arcsin(np.clip(y, -1, 1)) / np.pi,
     )
     assert abs(arcsine.masses.sum() - 1.0) < 1e-12
-    f = GridFunction(grid, grid.nodes**2, arcsine)
+    f = GridFunction(grid.nodes**2, arcsine)
     # second moment of the arcsine law; the uniform grid undersamples the
     # endpoint cusps, so only ~1e-4 accuracy is available here
     assert abs(integrate(f) - 0.5) < 2e-4
@@ -90,7 +102,7 @@ def test_from_masses_roundtrip():
 
 def test_norm_ordering():
     nu = uniform_measure()
-    f = GridFunction(nu.grid, np.sin(7 * nu.grid.nodes) + 0.3, nu)
+    f = GridFunction(np.sin(7 * nu.grid.nodes) + 0.3, nu)
     assert lp_norm(f, 1) <= lp_norm(f, 2) + 1e-14
     assert lp_norm(f, 2) <= lp_norm(f, np.inf) + 1e-14
 
@@ -103,7 +115,7 @@ def test_norm_ordering():
 def test_norm_scaling_property(scale, seed):
     nu = uniform_measure(32)
     values = np.random.default_rng(seed).normal(size=32)
-    f = GridFunction(nu.grid, values, nu)
+    f = GridFunction(values, nu)
     for p in (1, 2, np.inf):
         assert np.isclose(lp_norm(scale * f, p), abs(scale) * lp_norm(f, p),
                           rtol=1e-12, atol=1e-12)
@@ -111,19 +123,17 @@ def test_norm_scaling_property(scale, seed):
 
 def test_inner_product_matches_integral():
     nu = uniform_measure()
-    f = GridFunction(nu.grid, nu.grid.nodes, nu)
-    g = GridFunction(nu.grid, np.ones(nu.grid.size), nu)
+    f = GridFunction(nu.grid.nodes, nu)
+    g = GridFunction(np.ones(nu.grid.size), nu)
     assert np.isclose(inner_product(f, g), integrate(f))
 
 
 def test_incompatible_grids_rejected():
     nu_a, nu_b = uniform_measure(16), uniform_measure(32)
-    f = GridFunction(nu_a.grid, np.ones(16), nu_a)
-    g = GridFunction(nu_b.grid, np.ones(32), nu_b)
+    f = GridFunction(np.ones(16), nu_a)
+    g = GridFunction(np.ones(32), nu_b)
     with pytest.raises(IncompatibleGridsError):
         inner_product(f, g)
-    with pytest.raises(IncompatibleGridsError):
-        GridFunction(nu_a.grid, np.ones(16), nu_b)
 
 
 def test_grid_function_rejects_nonfinite():
@@ -131,11 +141,11 @@ def test_grid_function_rejects_nonfinite():
     bad = np.ones(16)
     bad[3] = np.nan
     with pytest.raises(InvalidInputError):
-        GridFunction(nu.grid, bad, nu)
+        GridFunction(bad, nu)
 
 
 def test_csv_headers():
     nu = uniform_measure(4)
     assert nu.to_csv().startswith("# measure=uniform normalized=True\n")
-    f = GridFunction(nu.grid, np.ones(4), nu)
+    f = GridFunction(np.ones(4), nu)
     assert f.to_csv().splitlines()[0] == "node,value"

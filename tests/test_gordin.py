@@ -38,7 +38,7 @@ def test_resolvent_hand_expansion(doubling, doubling_nu):
     nodes = doubling_nu.grid.nodes
     c1 = np.cos(2 * np.pi * nodes)
     c2 = np.cos(4 * np.pi * nodes)
-    h = GridFunction(doubling_nu.grid, c1 + c2, doubling_nu)
+    h = GridFunction(c1 + c2, doubling_nu)
     eps = 0.1
     f_eps = resolvent(doubling, doubling_nu, h, eps, tail_tol=1e-10)
     expected = (c1 + c2) / 1.1 + c1 / 1.21

@@ -121,7 +121,7 @@ def test_default_grid_adapts_to_measure():
     # nodes concentrate near the endpoints where the invariant density
     # diverges; arcsine cell masses are then nearly equal (the edges are
     # node midpoints, not exact equal-mass boundaries)
-    masses = np.diff(0.5 + np.arcsin(g.cell_edges()) / np.pi)
+    masses = np.diff(0.5 + np.arcsin(g.edges) / np.pi)
     assert np.isclose(masses.sum(), 1.0)
     assert np.allclose(masses[4:-4], 1.0 / 64, rtol=0.01)
     assert masses.max() / masses.min() < 1.25

@@ -1,0 +1,24 @@
+"""The benchmark's tracer wraps ergolab functions by name; a renamed or
+deleted one would silently read 0 in the traced metrics."""
+
+import importlib
+import operator
+import runpy
+from pathlib import Path
+
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+def test_trace_targets_resolve():
+    targets = runpy.run_path(str(TRACER))["TARGETS"]
+    missing = []
+    for mod_name, path, _ in targets:
+        module = importlib.import_module(f"ergolab.{mod_name}")
+        try:
+            operator.attrgetter(path)(module)
+        except AttributeError:
+            missing.append(f"{mod_name}.{path}")
+    assert missing == []
+    # the tracer wraps the ensemble's thread pool to parent worker spans
+    assert hasattr(importlib.import_module("ergolab.montecarlo"),
+                   "ThreadPoolExecutor")

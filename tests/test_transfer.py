@@ -22,6 +22,12 @@ def _graded(n):
     return QuadratureGrid.from_nodes(0, 1, np.linspace(0, 1, n + 2)[1:-1] ** 2)
 
 
+def _graded_edges(n):
+    # n cells on [0, 1] chosen by their edges, nodes at the cell centers
+    e = np.linspace(0, 1, n + 1) ** 2
+    return QuadratureGrid(e, 0.5 * (e[1:] + e[:-1]))
+
+
 def test_ulam_doubling_rows():
     m = builtin_map("doubling")
     u = ulam_matrix(m, m.default_grid(16))
@@ -32,6 +38,10 @@ def test_ulam_doubling_rows():
         assert np.isclose(row[(2 * i) % 16], 0.5)
         assert np.isclose(row[(2 * i + 1) % 16], 0.5)
     assert u.row_sum_defect() < 1e-14
+    # at 1000 cells: 2000 entries of 1/2, plus 88 slivers where the second
+    # branch pulls an edge back to ulps beside an edge; edges rebuilt as
+    # node midpoints, off k/1000 by ulps, gave 2348 entries
+    assert ulam_matrix(m, m.default_grid(1000)).matrix.nnz == 2088
 
 
 def test_ulam_rejects_tiny_grids():
@@ -55,14 +65,14 @@ def test_stationary_vector_doubling_uniform():
 def test_ulam_on_graded_cells_keeps_lebesgue_for_doubling():
     # doubling preserves Lebesgue measure, so the Ulam fixed vector on any
     # cells is their widths
-    grid = _graded(1024)
-    p = stationary_vector(ulam_matrix(builtin_map("doubling"), grid))
-    assert np.abs(p - grid.weights).sum() < 1e-11
+    for grid in (_graded(1024), _graded_edges(1024)):
+        p = stationary_vector(ulam_matrix(builtin_map("doubling"), grid))
+        assert np.abs(p - grid.weights).sum() < 1e-11
 
 
 def test_resolve_measure_keeps_its_grid():
-    grid = _graded(1024)
-    assert resolve_measure(builtin_map("lsv:0.25"), grid).grid.same_as(grid)
+    for grid in (_graded(1024), _graded_edges(1024)):
+        assert resolve_measure(builtin_map("lsv:0.25"), grid).grid.same_as(grid)
 
 
 def test_ulam_backend_on_chebyshev_cells():
@@ -92,8 +102,8 @@ def test_backend_structural_properties(spec, rng):
     assert abs(v @ op.measure.masses - op.apply(v) @ op.measure.masses) < 1e-12
     # L^p contraction
     for p in (1, 2):
-        before = lp_norm(GridFunction(nu.grid, v, op.measure), p)
-        after = lp_norm(GridFunction(nu.grid, op.apply(v), op.measure), p)
+        before = lp_norm(GridFunction(v, op.measure), p)
+        after = lp_norm(GridFunction(op.apply(v), op.measure), p)
         assert after <= before + 1e-9
 
 
@@ -118,8 +128,8 @@ def test_branch_backend_needs_a_pdf():
 def test_doubling_fourier_cascade(doubling, doubling_nu):
     # P cos(4 pi y) = cos(2 pi y), P cos(2 pi y) = 0
     nodes = doubling_nu.grid.nodes
-    c2 = GridFunction(doubling_nu.grid, np.cos(4 * np.pi * nodes), doubling_nu)
-    c1 = GridFunction(doubling_nu.grid, np.cos(2 * np.pi * nodes), doubling_nu)
+    c2 = GridFunction(np.cos(4 * np.pi * nodes), doubling_nu)
+    c1 = GridFunction(np.cos(2 * np.pi * nodes), doubling_nu)
     assert lp_norm(transfer_apply(doubling, doubling_nu, c2) - c1, 2) < 1e-6
     assert lp_norm(transfer_apply(doubling, doubling_nu, c1), 2) < 1e-7
 
