@@ -72,20 +72,37 @@ def _load_config(path: str) -> dict:
     return out
 
 
-_INT_KEYS = {"cells", "n", "n_max", "samples", "burnin", "seed", "threads", "m"}
+# name -> (type, default, help); every subcommand takes every flag
+_FLAGS = {
+    "map": (str, None, "map spec NAME[:PARAM], e.g. lsv:0.25"),
+    "obs": (str, None, "observable spec (builtin or expression)"),
+    "cells": (int, 4096, None),
+    "n": (int, 4096, "Birkhoff sum length"),
+    "n_max": (int, 64, "decay sequence length"),
+    "samples": (int, 100_000, None),
+    "burnin": (int, MIN_BURNIN, None),
+    "seed": (int, None, None),
+    # the CPUs this process may run on, not the host's count
+    "threads": (int, (len(os.sched_getaffinity(0))
+                      if hasattr(os, "sched_getaffinity")
+                      else os.cpu_count() or 1), None),
+    "m": (int, 64, "path grid resolution for FCLT tests"),
+    "out": (str, None, "output directory"),
+    "config": (str, None, "flat key=value config file; flags override"),
+}
 
 
 def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
     """Config file supplies defaults; explicit flags win."""
-    if not getattr(args, "config", None):
+    if not args.config:
         return args
     cfg = _load_config(args.config)
     for key, value in cfg.items():
-        if not hasattr(args, key):
+        if key not in _FLAGS or key == "config":
             raise ConfigurationError(f"unknown config key {key!r}")
         if getattr(args, key) is None:
             try:
-                setattr(args, key, int(value) if key in _INT_KEYS else value)
+                setattr(args, key, _FLAGS[key][0](value))
             except ValueError:
                 raise ConfigurationError(
                     f"config key {key!r} needs an integer, got {value!r}") from None
@@ -203,38 +220,42 @@ def cmd_sigma(args) -> int:
     return EXIT_OK
 
 
-def _limit_tests(imap, obs, args, run: EnsembleRun, sigma: float,
-                 sigma_values: dict, with_fclt: bool = True):
-    """CLT test, and FCLT tests when asked and sigma > 0, over one run."""
+def _limit_tests(args, imap, nu, obs, run: EnsembleRun, sigma_values: dict,
+                 with_fclt: bool):
+    """CLT test, and FCLT tests when asked and sigma > 0, over one run.
+
+    A declared or near-zero-sigma observable goes to coboundary detection
+    first; a detected coboundary takes the degenerate test (sigma = 0).
+    Returns (report, paths or None, detection or None).
+    """
+    h = obs.grid_function
+    h_l2 = lp_norm(h, 2)
+    sigma = sigma_values["green_kubo"]
+    coboundary = None
+    if sigma < SIGMA_SMALL_FRACTION * h_l2 or obs.is_declared_coboundary:
+        coboundary = coboundary_detect(imap, nu, h)
+        if coboundary.is_coboundary:
+            sigma = 0.0
     report = LimitTestReport(imap.label, args.obs, sigma=sigma_values,
                              sigma_used="green_kubo")
-    report.entries.append(
-        clt_test(run.S, run.n, sigma, h_l2=lp_norm(obs.grid_function, 2)))
-    if not (with_fclt and sigma > 0):
-        return report, None
-    paths = PathEnsemble.from_run(run, sigma, args.m)
-    report.entries.extend(fclt_test(paths))
-    return report, paths
+    report.entries.append(clt_test(run.S, run.n, sigma, h_l2=h_l2))
+    paths = None
+    if with_fclt and sigma > 0:
+        paths = PathEnsemble.from_run(run, sigma, args.m)
+        report.entries.extend(fclt_test(paths))
+    return report, paths, coboundary
 
 
-def cmd_clt(args) -> int:
+def cmd_limit_tests(args) -> int:
+    """``clt`` (the CLT test) and ``fclt`` (the CLT and FCLT tests)."""
     imap, nu, obs, cfg = _setup(args, ensemble=True)
     gk = sigma_green_kubo(imap, nu, obs.grid_function)
     run = run_ensemble(imap, obs, cfg)
-    report, _ = _limit_tests(imap, obs, args, run, gk.sigma,
-                             {"green_kubo": gk.sigma}, with_fclt=False)
-    _emit(args, "clt", report.to_json())
-    return EXIT_OK if report.all_pass else EXIT_VERIFY
-
-
-def cmd_fclt(args) -> int:
-    imap, nu, obs, cfg = _setup(args, ensemble=True)
-    gk = sigma_green_kubo(imap, nu, obs.grid_function)
-    run = run_ensemble(imap, obs, cfg)
-    report, paths = _limit_tests(imap, obs, args, run, gk.sigma,
-                                 {"green_kubo": gk.sigma})
+    report, paths, _ = _limit_tests(args, imap, nu, obs, run,
+                                    {"green_kubo": gk.sigma},
+                                    with_fclt=args.command == "fclt")
     csv_files = {"fclt_functionals.csv": paths.functionals_csv()} if paths else None
-    _emit(args, "fclt", report.to_json(), csv_files)
+    _emit(args, args.command, report.to_json(), csv_files)
     return EXIT_OK if report.all_pass else EXIT_VERIFY
 
 
@@ -242,8 +263,6 @@ def _verify_payload(args, imap, nu, obs, cfg) -> dict:
     """Decay, Gordin, sigma estimates and limit tests; the variance-growth
     estimate and the limit tests read one ensemble run."""
     h = obs.grid_function
-    h_l2 = lp_norm(h, 2)
-
     decay = decay_report(imap, nu, h, observable=args.obs, n_max=args.n_max)
     gd = gordin_decompose(imap, nu, h)
     gk = sigma_green_kubo(imap, nu, h)
@@ -253,18 +272,13 @@ def _verify_payload(args, imap, nu, obs, cfg) -> dict:
         "variance_growth": run.variance_growth()[-1][1],
         "martingale_norm": gd.sigma_mart,
     }
-
-    coboundary = None
-    if gk.sigma < SIGMA_SMALL_FRACTION * h_l2 or obs.is_declared_coboundary:
-        coboundary = coboundary_detect(imap, nu, h)
-    sigma = 0.0 if coboundary is not None and coboundary.is_coboundary else gk.sigma
-
-    report, _ = _limit_tests(imap, obs, args, run, sigma, sigma_values)
+    report, _, coboundary = _limit_tests(args, imap, nu, obs, run,
+                                         sigma_values, with_fclt=True)
     payload = report.to_json()
     payload["decay"] = decay.to_json()
     payload["gordin"] = gd.to_json()
     payload["coboundary"] = coboundary.to_json() if coboundary else None
-    payload["h_l2"] = h_l2
+    payload["h_l2"] = lp_norm(h, 2)
     payload["verdict"] = report.all_pass
     return payload
 
@@ -303,44 +317,19 @@ def build_parser() -> argparse.ArgumentParser:
         "decay": cmd_decay,
         "gordin": cmd_gordin,
         "sigma": cmd_sigma,
-        "clt": cmd_clt,
-        "fclt": cmd_fclt,
+        "clt": cmd_limit_tests,
+        "fclt": cmd_limit_tests,
         "verify": cmd_verify,
         "report": cmd_report,
     }
     for name, fn in handlers.items():
         p = sub.add_parser(name)
         p.set_defaults(handler=fn)
-        p.add_argument("--map", help="map spec NAME[:PARAM], e.g. lsv:0.25")
-        p.add_argument("--obs", help="observable spec (builtin or expression)")
-        p.add_argument("--cells", type=int, default=None)
-        p.add_argument("--n", type=int, default=None,
-                       help="Birkhoff sum length")
-        p.add_argument("--n-max", type=int, default=None,
-                       help="decay sequence length")
-        p.add_argument("--samples", type=int, default=None)
-        p.add_argument("--burnin", type=int, default=None)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--threads", type=int, default=None)
-        p.add_argument("--m", type=int, default=None,
-                       help="path grid resolution for FCLT tests")
-        p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--config", default=None,
-                       help="flat key=value config file; flags override")
+        # default None marks a flag not given, so a config file may set it
+        for key, (kind, _, text) in _FLAGS.items():
+            p.add_argument("--" + key.replace("_", "-"), type=kind,
+                           default=None, help=text)
     return parser
-
-
-_DEFAULTS = {
-    "cells": 4096,
-    "n": 4096,
-    "n_max": 64,
-    "samples": 100_000,
-    "burnin": MIN_BURNIN,
-    # the CPUs this process may run on, not the host's count
-    "threads": (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-                else os.cpu_count() or 1),
-    "m": 64,
-}
 
 
 def main(argv=None) -> int:
@@ -348,9 +337,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         args = _merge_config(args)
-        for key, value in _DEFAULTS.items():
-            if getattr(args, key, None) is None:
-                setattr(args, key, value)
+        for key, (_, default, _) in _FLAGS.items():
+            if getattr(args, key) is None:
+                setattr(args, key, default)
         _require(args, "map")
         for flag, value, floor in (("--m", args.m, 1),
                                    ("--n-max", args.n_max, MIN_CLASSIFY_N)):

@@ -2,8 +2,8 @@
 
 Verdicts are reproducible threshold comparisons, not p-values: with a
 fixed master seed a run either passes or it does not, which is what a CI
-gate needs.  The default threshold for a normal-limit test is
-1.95/sqrt(M) + C_be/sqrt(n): the first term is the ~0.999 quantile of the
+gate needs.  The threshold for a normal-limit test is
+1.95/sqrt(M) + C_BE/sqrt(n): the first term is the ~0.999 quantile of the
 Kolmogorov statistic for M samples drawn from the reference itself, the
 second a Berry-Esseen-style allowance for the finite Birkhoff length.
 """
@@ -21,7 +21,6 @@ from .montecarlo import PathEnsemble
 
 __all__ = [
     "KSResult",
-    "ReferenceLaw",
     "ks_statistic",
     "reference_cdf",
     "clt_threshold",
@@ -32,6 +31,8 @@ __all__ = [
 
 DEGENERATE_QUANTILE = 0.99
 DEGENERATE_FRACTION = 0.05
+C_BE = 1.0  # the Berry-Esseen-style constant of the finite-n allowance
+FCLT_ALLOWANCE = 0.01  # added to the sup and occupation thresholds
 
 
 @dataclass(frozen=True)
@@ -41,44 +42,27 @@ class KSResult:
     threshold: Optional[float] = None
     verdict: Optional[bool] = None
 
-    def to_json(self) -> dict:
-        return {
-            "statistic": self.statistic,
-            "sample_size": self.sample_size,
-            "threshold": self.threshold,
-            "verdict": self.verdict,
-        }
+
+def _point_mass(t):
+    return (np.asarray(t, dtype=float) >= 0).astype(float)
 
 
-@dataclass(frozen=True)
-class ReferenceLaw:
-    name: str
-    cdf: Callable
-
-    def __call__(self, x):
-        return self.cdf(np.asarray(x, dtype=float))
-
-
-def reference_cdf(name: str, sigma: Optional[float] = None) -> ReferenceLaw:
-    """Reference laws: normal(sigma), brownian_sup, arcsine, point_mass."""
+def reference_cdf(name: str, sigma: Optional[float] = None) -> Callable:
+    """The CDF of a reference law, a callable on floats and float arrays:
+    normal(sigma), brownian_sup, arcsine, point_mass (normal(0))."""
     if name == "normal":
         if sigma is None or sigma < 0:
             raise ParameterError("normal law needs sigma >= 0")
         if sigma == 0:
-            return ReferenceLaw("point_mass", lambda t: (t >= 0).astype(float))
-        return ReferenceLaw(f"normal({sigma:g})", lambda t: ndtr(t / sigma))
+            return _point_mass
+        return lambda t: ndtr(t / sigma)
     if name == "point_mass":
-        return ReferenceLaw("point_mass", lambda t: (t >= 0).astype(float))
+        return _point_mass
     if name == "brownian_sup":
-        return ReferenceLaw(
-            "brownian_sup",
-            lambda a: np.where(a >= 0, 2.0 * ndtr(np.maximum(a, 0.0)) - 1.0, 0.0),
-        )
+        return lambda a: np.where(a >= 0, 2.0 * ndtr(np.maximum(a, 0.0)) - 1.0,
+                                  0.0)
     if name == "arcsine":
-        return ReferenceLaw(
-            "arcsine",
-            lambda x: (2.0 / np.pi) * np.arcsin(np.sqrt(np.clip(x, 0.0, 1.0))),
-        )
+        return lambda x: (2.0 / np.pi) * np.arcsin(np.sqrt(np.clip(x, 0.0, 1.0)))
     raise ParameterError(f"unknown reference law {name!r}")
 
 
@@ -98,16 +82,23 @@ def ks_statistic(samples, cdf, threshold: Optional[float] = None) -> KSResult:
     return KSResult(stat, n, threshold, verdict)
 
 
-def clt_threshold(samples: int, n: int, c_be: float = 1.0) -> float:
-    return float(1.95 / np.sqrt(samples) + c_be / np.sqrt(n))
+def _ks_entry(name: str, samples, cdf, threshold: float) -> dict:
+    """One report entry: the KS statistic of samples against cdf."""
+    ks = ks_statistic(samples, cdf, threshold=threshold)
+    return {"name": name, "statistic": ks.statistic,
+            "threshold": ks.threshold, "verdict": ks.verdict}
 
 
-def clt_test(birkhoff_sums, n: int, sigma: float, h_l2: Optional[float] = None,
-             c_be: float = 1.0) -> dict:
+def clt_threshold(samples: int, n: int) -> float:
+    return float(1.95 / np.sqrt(samples) + C_BE / np.sqrt(n))
+
+
+def clt_test(birkhoff_sums, n: int, sigma: float,
+             h_l2: Optional[float] = None) -> dict:
     """KS of S_n/sqrt(n) against normal(sigma).
 
-    With sigma = 0 (declared coboundary) the normal limit degenerates to
-    the point mass at 0; the test then requires the 0.99 quantile of
+    With sigma = 0 (a coboundary) the normal limit degenerates to the
+    point mass at 0; the test then requires the 0.99 quantile of
     |S_n/sqrt(n)| to stay below 5% of ||h||_2.
     """
     z = np.asarray(birkhoff_sums, dtype=float) / np.sqrt(n)
@@ -122,40 +113,24 @@ def clt_test(birkhoff_sums, n: int, sigma: float, h_l2: Optional[float] = None,
             "threshold": bound,
             "verdict": bool(q < bound),
         }
-    thr = clt_threshold(z.size, n, c_be)
-    ks = ks_statistic(z, reference_cdf("normal", sigma), threshold=thr)
-    return {
-        "name": "clt_normal",
-        "statistic": ks.statistic,
-        "threshold": ks.threshold,
-        "verdict": ks.verdict,
-    }
+    return _ks_entry("clt_normal", z, reference_cdf("normal", sigma),
+                     clt_threshold(z.size, n))
 
 
-def fclt_test(paths: PathEnsemble, c_be: float = 1.0,
-              discretization_allowance: float = 0.01) -> List[dict]:
+def fclt_test(paths: PathEnsemble) -> List[dict]:
     """Three functional tests: terminal ~ N(0,1), sup ~ reflection law,
     occupation fraction ~ arcsine.  Verdict requires all three."""
     if paths.sigma <= 0:
         raise PreconditionError("fclt_test needs sigma > 0")
-    M, n = paths.terminal.size, paths.n
-    base = clt_threshold(M, n, c_be)
-    entries = []
-    for name, values, law, thr in [
-        ("fclt_terminal", paths.terminal, reference_cdf("normal", 1.0), base),
-        ("fclt_sup", paths.sup, reference_cdf("brownian_sup"),
-         base + discretization_allowance),
-        ("fclt_occupation", paths.occupation, reference_cdf("arcsine"),
-         base + discretization_allowance),
-    ]:
-        ks = ks_statistic(values, law, threshold=thr)
-        entries.append({
-            "name": name,
-            "statistic": ks.statistic,
-            "threshold": ks.threshold,
-            "verdict": ks.verdict,
-        })
-    return entries
+    base = clt_threshold(paths.terminal.size, paths.n)
+    return [
+        _ks_entry("fclt_terminal", paths.terminal,
+                  reference_cdf("normal", 1.0), base),
+        _ks_entry("fclt_sup", paths.sup, reference_cdf("brownian_sup"),
+                  base + FCLT_ALLOWANCE),
+        _ks_entry("fclt_occupation", paths.occupation,
+                  reference_cdf("arcsine"), base + FCLT_ALLOWANCE),
+    ]
 
 
 @dataclass

@@ -105,6 +105,21 @@ def test_unknown_config_key_rejected(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("key,value", [("command", "report"),
+                                       ("handler", "x"),
+                                       ("config", "other.cfg")])
+def test_config_key_that_names_no_flag_is_rejected(capsys, tmp_path, key,
+                                                   value):
+    # namespace attributes that are not flags used to be accepted silently
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"map = doubling\nobs = cos1\ncells = 1024\n"
+                   f"{key} = {value}\n")
+    assert main(["decay", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unknown config key" in captured.err
+
+
 @pytest.mark.parametrize("value", ["abc", "1e3"])
 def test_non_integer_config_value_is_config_error(capsys, tmp_path, value):
     cfg = tmp_path / "bad.cfg"
@@ -239,6 +254,36 @@ def test_verify_routes_coboundary_to_degenerate_test(capsys):
     names = [t["name"] for t in payload["tests"]]
     assert names == ["clt_degenerate"]
     assert payload["verdict"] is True
+
+
+@pytest.mark.parametrize("command", ["clt", "fclt"])
+def test_limit_commands_route_coboundary_to_degenerate_test(capsys, tmp_path,
+                                                            command):
+    # the setting of the verify routing test above
+    argv = [a if a != "512" else "4096" for a in FAST]
+    out = tmp_path / command
+    code, payload = run_cli(
+        capsys, command, "--map", "doubling", "--obs", "coboundary:cos1",
+        *argv, "--out", str(out),
+    )
+    assert code == 0
+    assert [t["name"] for t in payload["tests"]] == ["clt_degenerate"]
+    assert payload["verdict"] is True
+    assert not (out / "fclt_functionals.csv").exists()
+
+
+@pytest.mark.parametrize("spec,obs", [("doubling", "cos1"),
+                                      ("lsv:0.25", "lip1")])
+def test_clt_fclt_and_verify_agree(capsys, tmp_path, spec, obs):
+    argv = ["--map", spec, "--obs", obs, *FAST]
+    _, clt = run_cli(capsys, "clt", *argv)
+    _, fclt = run_cli(capsys, "fclt", *argv, "--out", str(tmp_path))
+    _, verify = run_cli(capsys, "verify", *argv)
+    assert clt["tests"][0] == fclt["tests"][0] == verify["tests"][0]
+    assert ([t["name"] for t in fclt["tests"]]
+            == [t["name"] for t in verify["tests"]])
+    csv = (tmp_path / "fclt_functionals.csv").read_text()
+    assert csv.startswith("sample_index,sup,terminal,occupation\n")
 
 
 def test_verify_output_deterministic_across_threads(capsys):
