@@ -40,7 +40,6 @@ from .gordin import (
     GordinDecomposition,
     coboundary_detect,
     gordin_decompose,
-    resolvent,
 )
 from .maps import Branch, IntervalMap, builtin_map
 from .montecarlo import (
@@ -48,7 +47,6 @@ from .montecarlo import (
     GreenKuboResult,
     PathEnsemble,
     run_ensemble,
-    sample_invariant,
     sigma_green_kubo,
     sigma_variance_growth,
 )

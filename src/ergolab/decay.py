@@ -14,11 +14,11 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import FitError, PreconditionError
+from .errors import FitError, InvalidInputError, PreconditionError
 from .function_space import (GridFunction, MeasureDensity, require_centered,
                              weighted_norm)
 from .maps import IntervalMap
-from .transfer import make_backend
+from .transfer import _memo, make_backend
 
 __all__ = [
     "DecayReport",
@@ -42,16 +42,23 @@ def _sweep(imap: IntervalMap, nu: MeasureDensity, h: GridFunction,
     require_centered(h)
     op = make_backend(imap, nu, kind=backend)
     masses = op.measure.masses
-    l1, l2, ces = np.empty(n_max), np.empty(n_max), np.empty(n_max)
-    v = h.values
-    acc = v.copy()
-    for n in range(n_max):
-        ces[n] = weighted_norm(acc, masses, 2)
-        v = op.apply(v)
-        acc += v
-        l1[n] = weighted_norm(v, masses, 1)
-        l2[n] = weighted_norm(v, masses, 2)
-    return op.kind, l1, l2, ces
+    if not np.array_equal(masses, nu.masses):  # h is centred under nu
+        raise InvalidInputError(f"the {op.kind} backend's measure "
+                                f"{op.measure.name} is not {nu.name}")
+
+    def sweep():
+        l1, l2, ces = np.empty(n_max), np.empty(n_max), np.empty(n_max)
+        v = h.values
+        acc = v.copy()
+        for n in range(n_max):
+            ces[n] = weighted_norm(acc, masses, 2)
+            v = op.apply(v)
+            acc += v
+            l1[n] = weighted_norm(v, masses, 1)
+            l2[n] = weighted_norm(v, masses, 2)
+        return l1, l2, ces
+
+    return (op.kind, *_memo(op, ("sweep", n_max), h.values, sweep))
 
 
 def norm_decay_sequence(imap: IntervalMap, nu: MeasureDensity, h: GridFunction,

@@ -14,7 +14,8 @@ resolvent at e = 0 (centred h lies in the range of I - P), and takes the
 transfer function f = P f-tilde, so that h = f o T - f up to the martingale
 part.  The finite operator always has a solution, so a small algebraic
 residual ||U f - f - h||_2 flags sigma = 0 only together with bounded
-Cesaro norms, the sign that sum_k P^k h itself converges.
+Cesaro norms, the sign that sum_k P^k h itself converges.  It shares the
+Poisson solve with ``sigma_green_kubo`` and the sweep with ``decay_report``.
 """
 
 from __future__ import annotations
@@ -25,16 +26,15 @@ from typing import List, Optional
 import numpy as np
 
 from .decay import cesaro_norm_sequence
-from .errors import ConvergenceError, PreconditionError
+from .errors import ConvergenceError
 from .function_space import (GridFunction, MeasureDensity, require_centered,
                              weighted_norm)
 from .maps import IntervalMap
-from .transfer import make_backend
+from .transfer import _memo, make_backend
 
 __all__ = [
     "GordinDecomposition",
     "CoboundaryResult",
-    "resolvent",
     "gordin_decompose",
     "coboundary_detect",
 ]
@@ -93,21 +93,13 @@ def _solve_resolvent(op, h: np.ndarray, eps: float, x: np.ndarray,
 
 def solve_poisson(op, h: np.ndarray) -> tuple:
     """f with (I - P) f = h for centred h, from a zero start, to residual
-    POISSON_TOL * ||h||_2; returns f and the recomputed residual."""
-    tol = POISSON_TOL * weighted_norm(h, op.measure.masses)
-    return _solve_resolvent(op, h, 0.0, np.zeros_like(h), tol)
+    POISSON_TOL * ||h||_2; returns f and the recomputed residual.  Solved
+    once per operator and h (``transfer._memo``); f is read-only."""
+    def solve():
+        tol = POISSON_TOL * weighted_norm(h, op.measure.masses)
+        return _solve_resolvent(op, h, 0.0, np.zeros_like(h), tol)
 
-
-def resolvent(imap: IntervalMap, nu: MeasureDensity, h: GridFunction,
-              eps: float, tail_tol: float) -> GridFunction:
-    """f_eps = ((1+eps)I - P)^-1 h to within tail_tol in L2(nu)."""
-    if eps <= 0:
-        raise PreconditionError("eps must be positive")
-    require_centered(h)
-    op = make_backend(imap, nu)
-    zero = np.zeros_like(h.values)
-    f, _ = _solve_resolvent(op, h.values, eps, zero, eps * tail_tol)
-    return h.with_values(f)
+    return _memo(op, ("poisson",), h, solve)
 
 
 @dataclass

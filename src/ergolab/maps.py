@@ -82,7 +82,6 @@ class IntervalMap:
     domain: tuple
     branches: List[Branch]
     forward: Callable  # closed form of the branch rule on the whole domain
-    gamma: Optional[float] = None
     density_pdf: Optional[Callable] = None
     density_cdf: Optional[Callable] = None
     sampler: Optional[Callable] = None  # U(0,1) -> Y distributed as nu
@@ -168,7 +167,7 @@ def _lsv(gamma: float) -> IntervalMap:
     return IntervalMap(
         name="lsv", domain=(0.0, 1.0), branches=br,
         forward=lambda y: np.maximum(2.0 * y - 1.0, left(y) * (y <= 0.5)),
-        gamma=gamma, label=f"lsv:{gamma}",
+        label=f"lsv:{gamma}",
     )
 
 
@@ -194,7 +193,7 @@ def _manneville_pomeau(gamma: float) -> IntervalMap:
     ]
     return IntervalMap(
         name="manneville_pomeau", domain=(0.0, 1.0), branches=br,
-        forward=lambda y: raw(y) - (y > ystar), gamma=gamma,
+        forward=lambda y: raw(y) - (y > ystar),
         label=f"manneville_pomeau:{gamma}",
     )
 
@@ -232,7 +231,6 @@ def _chebyshev(n: int) -> IntervalMap:
         domain=(-1.0, 1.0),
         branches=branches,
         forward=fwd,
-        gamma=float(n),
         density_pdf=arcsine,
         density_cdf=lambda y: 0.5 + np.arcsin(np.clip(np.asarray(y, float), -1, 1)) / np.pi,
         sampler=lambda u: np.cos(np.pi * np.asarray(u, dtype=float)),

@@ -83,7 +83,6 @@ __all__ = [
     "GreenKuboResult",
     "EnsembleRun",
     "run_ensemble",
-    "sample_invariant",
     "sigma_green_kubo",
     "sigma_variance_growth",
 ]
@@ -310,14 +309,6 @@ def run_ensemble(imap: IntervalMap, h: Callable, cfg: EnsembleConfig,
     )
     occ = ((n + sgn) * 0.5) / n
     return EnsembleRun(S, sup, occ, cps, cp or None, n, dropped)
-
-
-def sample_invariant(imap: IntervalMap, cfg: EnsembleConfig) -> np.ndarray:
-    """M initial points distributed (approximately) according to nu: the
-    starting points of ``run_ensemble``'s orbits."""
-    mode = cfg.resolved_mode(imap)
-    point, _ = _stepper(imap, mode)
-    return point(_start(imap, cfg, mode, _streams(cfg, _batches(cfg))))
 
 
 @dataclass

@@ -233,6 +233,19 @@ def _digest(*arrays) -> str:
     return digest.hexdigest()
 
 
+def _memo(op, key: tuple, values: np.ndarray, build):
+    """``build()`` once per ``key`` and content of ``values``, kept in the
+    bounded store ``op.memo``, so that the statistics of one observable
+    share its sweep of P^k h and its Poisson solution; every caller gets
+    the same arrays, so they are read-only."""
+    store = vars(op).setdefault("memo", OrderedDict())
+    out = _cached(store, (*key, _digest(values)), build)
+    for arr in out:
+        if isinstance(arr, np.ndarray):
+            arr.flags.writeable = False
+    return out
+
+
 def _cached_ulam(imap: IntervalMap,
                  grid: QuadratureGrid) -> UlamTransferOperator:
     key = (imap.label, _digest(grid.edges, grid.nodes))

@@ -10,8 +10,9 @@ from ergolab import (
     fit_polynomial_rate,
     make_backend,
     norm_decay_sequence,
+    resolve_measure,
 )
-from ergolab.errors import FitError, PreconditionError
+from ergolab.errors import FitError, InvalidInputError, PreconditionError
 
 
 def test_fit_polynomial_rate_exact_power_law():
@@ -136,3 +137,14 @@ def test_one_sweep_equals_separate_passes(lsv25, lsv25_nu):
     assert report.cesaro.tolist() == ces
     assert norm_decay_sequence(lsv25, lsv25_nu, h, 2, 64).tolist() == l2
     assert cesaro_norm_sequence(lsv25, lsv25_nu, h, 64).tolist() == ces
+
+
+def test_forced_backend_must_match_the_measure(cheb2):
+    # h = y is centred under the arcsine measure, not under the Ulam one:
+    # measured against the Ulam masses, P^n h would plateau at |E_ulam h|
+    # instead of vanishing after one step
+    nu = resolve_measure(cheb2, cheb2.default_grid(1024))
+    h = build_observable("y", cheb2, nu).grid_function
+    assert np.all(norm_decay_sequence(cheb2, nu, h, 2, 8) < 1e-12)
+    with pytest.raises(InvalidInputError):
+        norm_decay_sequence(cheb2, nu, h, 2, 8, backend="ulam")

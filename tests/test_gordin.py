@@ -1,3 +1,5 @@
+from collections import OrderedDict
+
 import numpy as np
 import pytest
 
@@ -5,20 +7,40 @@ from ergolab import (
     GridFunction,
     build_observable,
     coboundary_detect,
+    decay_report,
     gordin_decompose,
     lp_norm,
     make_backend,
     resolve_measure,
-    resolvent,
     sigma_green_kubo,
+    transfer,
 )
 from ergolab.errors import ConvergenceError, PreconditionError
+from ergolab.gordin import _solve_resolvent, solve_poisson
 
 
 @pytest.fixture(scope="module")
 def lsv25_1024(lsv25):
     nu = resolve_measure(lsv25, lsv25.default_grid(1024))
     return nu, build_observable("lip1", lsv25, nu).grid_function
+
+
+@pytest.fixture
+def cold_caches(monkeypatch):
+    """Empty operator caches, so the next make_backend builds a new
+    operator with an empty store of sweeps and Poisson solutions."""
+    def clear():
+        monkeypatch.setattr(transfer, "_OP_CACHE", OrderedDict())
+        monkeypatch.setattr(transfer, "_ULAM_CACHE", OrderedDict())
+
+    return clear
+
+
+def _resolvent(imap, nu, h, eps, tail_tol):
+    """f_eps = ((1+eps)I - P)^-1 h to within tail_tol in L2(nu)."""
+    op = make_backend(imap, nu)
+    zeros = np.zeros_like(h.values)
+    return _solve_resolvent(op, h.values, eps, zeros, eps * tail_tol)[0]
 
 
 def _series_resolvent(op, h, eps, tol):
@@ -40,21 +62,19 @@ def test_resolvent_hand_expansion(doubling, doubling_nu):
     c2 = np.cos(4 * np.pi * nodes)
     h = GridFunction(c1 + c2, doubling_nu)
     eps = 0.1
-    f_eps = resolvent(doubling, doubling_nu, h, eps, tail_tol=1e-10)
+    f_eps = _resolvent(doubling, doubling_nu, h, eps, tail_tol=1e-10)
     expected = (c1 + c2) / 1.1 + c1 / 1.21
-    assert np.max(np.abs(f_eps.values - expected)) < 1e-5
+    assert np.max(np.abs(f_eps - expected)) < 1e-5
 
 
 def test_resolvent_identity(doubling, doubling_nu):
     # (1+e) f_e - P f_e = h up to the series truncation
-    from ergolab.transfer import make_backend
-
     obs = build_observable("cos2", doubling, doubling_nu)
     h = obs.grid_function
     eps = 0.25
-    f_eps = resolvent(doubling, doubling_nu, h, eps, tail_tol=1e-9)
+    f_eps = _resolvent(doubling, doubling_nu, h, eps, tail_tol=1e-9)
     op = make_backend(doubling, doubling_nu)
-    resid = (1 + eps) * f_eps.values - op.apply(f_eps.values) - h.values
+    resid = (1 + eps) * f_eps - op.apply(f_eps) - h.values
     assert np.sqrt((resid**2) @ doubling_nu.masses) < 1e-8
 
 
@@ -62,7 +82,7 @@ def test_resolvent_identity(doubling, doubling_nu):
 def test_resolvent_matches_series(lsv25, lsv25_1024, eps):
     nu, h = lsv25_1024
     tail_tol = 1e-12 * lp_norm(h, 2)
-    f_eps = resolvent(lsv25, nu, h, eps, tail_tol=tail_tol)
+    f_eps = h.with_values(_resolvent(lsv25, nu, h, eps, tail_tol=tail_tol))
     series = h.with_values(
         _series_resolvent(make_backend(lsv25, nu), h, eps, tail_tol))
     assert lp_norm(f_eps - series, 2) <= 1e-8 * lp_norm(series, 2)
@@ -74,16 +94,10 @@ def test_gordin_unreachable_tolerance_is_convergence_error(lsv25, lsv25_1024):
         gordin_decompose(lsv25, nu, h, tail_tol=1e-30)
 
 
-def test_resolvent_rejects_nonpositive_eps(doubling, doubling_nu):
-    h = build_observable("cos1", doubling, doubling_nu).grid_function
-    with pytest.raises(PreconditionError):
-        resolvent(doubling, doubling_nu, h, 0.0, tail_tol=1e-8)
-
-
 def test_martingale_part_annihilated(doubling, doubling_nu):
     # h_eps = f_eps - U P f_eps satisfies P h_eps = 0
     h = build_observable("cos1", doubling, doubling_nu).grid_function
-    f_eps = resolvent(doubling, doubling_nu, h, 0.05, tail_tol=1e-9).values
+    f_eps = _resolvent(doubling, doubling_nu, h, 0.05, tail_tol=1e-9)
     op = make_backend(doubling, doubling_nu)
     ph = op.apply(f_eps - op.koopman(op.apply(f_eps)))
     assert np.sqrt((ph**2) @ doubling_nu.masses) < 1e-7
@@ -178,3 +192,51 @@ def test_sigma_mart_agrees_with_green_kubo(lsv25, lsv25_nu):
     gd = gordin_decompose(lsv25, lsv25_nu, h)
     gk = sigma_green_kubo(lsv25, lsv25_nu, h)
     assert abs(gd.sigma_mart - gk.sigma) / gk.sigma < 0.02
+
+
+def test_coboundary_detect_reuses_the_sweep_and_the_poisson_solve(
+        lsv25, lsv25_1024, cold_caches):
+    # after decay_report and sigma_green_kubo, only f = P f-tilde is left
+    nu = lsv25_1024[0]
+    h = build_observable("coboundary:lip1", lsv25, nu).grid_function
+    decay_report(lsv25, nu, h)
+    sigma_green_kubo(lsv25, nu, h)
+    op = make_backend(lsv25, nu)
+    calls = []
+    op.apply = lambda v, apply=op.apply: calls.append(1) or apply(v)
+    try:
+        warm = coboundary_detect(lsv25, nu, h)
+    finally:
+        del op.apply
+    assert len(calls) <= 1
+    cold_caches()
+    cold = coboundary_detect(lsv25, nu, h)
+    assert make_backend(lsv25, nu) is not op
+    assert warm.to_json() == cold.to_json()
+    assert np.array_equal(warm.transfer_function.values,
+                          cold.transfer_function.values)
+
+
+def test_coboundary_detect_after_a_shorter_sweep(lsv25, lsv25_1024,
+                                                 cold_caches):
+    # a 32-term sweep is not the 64-term one coboundary detection reads
+    nu = lsv25_1024[0]
+    h = build_observable("coboundary:lip1", lsv25, nu).grid_function
+    cold_caches()
+    decay_report(lsv25, nu, h, n_max=32)
+    after = coboundary_detect(lsv25, nu, h)
+    cold_caches()
+    assert after.to_json() == coboundary_detect(lsv25, nu, h).to_json()
+
+
+def test_shared_sweep_and_poisson_solution_are_read_only(lsv25, lsv25_1024):
+    nu, h = lsv25_1024
+    l1 = decay_report(lsv25, nu, h).l1.copy()
+    with pytest.raises(ValueError):
+        decay_report(lsv25, nu, h).l1[0] = 0.0
+    assert np.array_equal(decay_report(lsv25, nu, h).l1, l1)
+    op = make_backend(lsv25, nu)
+    f = solve_poisson(op, h.values)[0].copy()
+    with pytest.raises(ValueError):
+        solve_poisson(op, h.values)[0][0] = 0.0
+    assert np.array_equal(solve_poisson(op, h.values)[0], f)

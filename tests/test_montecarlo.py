@@ -16,7 +16,6 @@ from ergolab import (
     make_backend,
     resolve_measure,
     run_ensemble,
-    sample_invariant,
     sigma_green_kubo,
     sigma_variance_growth,
 )
@@ -24,7 +23,8 @@ from ergolab.errors import (
     ConfigurationError, DomainError, EnsembleRunError, PreconditionError,
 )
 from ergolab.montecarlo import (
-    _MAX_DROP_FRACTION, MIN_BURNIN, _batches, _groups, _start, _streams,
+    _MAX_DROP_FRACTION, MIN_BURNIN, _batches, _groups, _start, _stepper,
+    _streams,
 )
 
 
@@ -91,7 +91,8 @@ def test_point_modes_deterministic_across_threads(spec):
     mode = cfg.resolved_mode(m)
     per_batch = [_start(m, cfg, mode, _streams(cfg, [batch]))
                  for batch in _batches(cfg)]
-    assert np.array_equal(sample_invariant(m, cfg), np.concatenate(per_batch))
+    whole = _start(m, cfg, mode, _streams(cfg, _batches(cfg)))
+    assert np.array_equal(whole, np.concatenate(per_batch))
 
 
 def _word_stream_points(cfg):
@@ -330,25 +331,34 @@ def test_zero_observable_occupation_convention():
     assert np.allclose(run.sup, 0.0)
 
 
+def _sample_invariant(m, cfg):
+    """The ensemble's starting points: S_1 of a one-step run with h = id."""
+    return run_ensemble(m, lambda y: y, dataclasses.replace(cfg, n=1)).S
+
+
 @pytest.mark.parametrize("spec", ["doubling", "chebyshev:2", "lsv:0.25"])
 def test_sample_invariant_is_the_ensemble_start(spec):
-    # S_1 = h(y0) with h = id: the ensemble starts where sample_invariant says
+    # the start states drawn batch by batch, as points of the interval
     m = builtin_map(spec)
     cfg = _cfg(n=1, burnin=1000)
-    run = run_ensemble(m, lambda y: y, cfg)
-    assert np.array_equal(run.S, sample_invariant(m, cfg))
+    mode = cfg.resolved_mode(m)
+    point, _ = _stepper(m, mode)
+    starts = [_start(m, cfg, mode, _streams(cfg, [batch]))
+              for batch in _batches(cfg)]
+    assert np.array_equal(_sample_invariant(m, cfg),
+                          point(np.concatenate(starts)))
 
 
 def test_sample_invariant_uniform():
     m = builtin_map("doubling")
-    y = sample_invariant(m, _cfg(samples=20000))
+    y = _sample_invariant(m, _cfg(samples=20000))
     assert abs(y.mean() - 0.5) < 0.02
     assert abs(np.mean(y**2) - 1.0 / 3.0) < 0.02
 
 
 def test_sample_invariant_arcsine():
     m = builtin_map("chebyshev:2")
-    y = sample_invariant(m, _cfg(samples=20000))
+    y = _sample_invariant(m, _cfg(samples=20000))
     assert abs(y.mean()) < 0.02
     assert abs(np.mean(y**2) - 0.5) < 0.02
 
