@@ -4,12 +4,15 @@ All randomness flows from a master seed; sample streams are keyed by
 (seed, batch index) with a fixed batch layout, so ensembles are
 bit-identical across reruns and independent of the worker count.
 
-The batches are split into ``min(threads, batches)`` contiguous groups,
-and each group is advanced as one wide array: every batch still draws its
-start (and, in bit-queue mode, its refill words) from its own stream,
-while the burn-in and every step run on the whole group at once.  Each
-operation on the orbits is elementwise and gives the same bits at any
-array length, so the grouping never changes a result.
+The orbits are split into ``min(threads, batches)`` contiguous groups of
+near-equal size, and each group is advanced as one wide array.  A group
+boundary may fall inside a batch: every group that holds part of a batch
+draws that batch's start (and, in bit-queue mode, its refill words) from
+the batch's own stream at the batch's full size and keeps its own slice,
+so every orbit sees the same numbers in any group, while the burn-in and
+every step run on the whole group at once.  Each operation on the orbits
+is elementwise and gives the same bits at any array length, so the
+grouping never changes a result.
 
 Two or more groups run in parallel, one worker per group.  Where the
 platform can fork, each worker is a process started with the ``fork``
@@ -111,6 +114,11 @@ class EnsembleConfig:
             raise ConfigurationError("Birkhoff length must be >= 1")
         if self.threads < 1:
             raise ConfigurationError(f"threads must be >= 1, got {self.threads}")
+        # the streams are keyed by default_rng([seed, batch]), which takes
+        # only non-negative integers
+        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            raise ConfigurationError(
+                f"seed must be a non-negative integer, got {self.seed!r}")
 
     def resolved_mode(self, imap: IntervalMap) -> str:
         """The sampler for ``imap``: the bit queue for doubling, inverse-CDF
@@ -134,23 +142,32 @@ def _batches(cfg: EnsembleConfig) -> List[tuple]:
 
 
 def _groups(cfg: EnsembleConfig) -> List[list]:
-    """The batches split into min(threads, batches) contiguous groups, each
-    advanced as one wide array by one worker."""
+    """The orbits split into min(threads, batches) contiguous groups of
+    near-equal size, each advanced as one wide array by one worker.  A group
+    is a list of (batch index, batch size, lo, hi) slices: it keeps orbits
+    lo..hi-1 of each batch it touches, so a boundary may fall inside a batch."""
     batches = _batches(cfg)
     k = min(cfg.threads, len(batches))
-    bounds = [len(batches) * i // k for i in range(k + 1)]
-    return [batches[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+    bounds = [cfg.samples * i // k for i in range(k + 1)]
+    return [[(bidx, size, max(lo - bidx * BATCH_SIZE, 0),
+              min(hi - bidx * BATCH_SIZE, size))
+             for bidx, size in batches[lo // BATCH_SIZE:-(-hi // BATCH_SIZE)]]
+            for lo, hi in zip(bounds, bounds[1:])]
 
 
 def _streams(cfg: EnsembleConfig, group) -> list:
-    """(rng, size) per batch of ``group``, each rng keyed by (seed, batch)."""
-    return [(np.random.default_rng([cfg.seed, bidx]), size)
-            for bidx, size in group]
+    """(rng, size, lo, hi) per slice of ``group``, each rng keyed by
+    (seed, batch)."""
+    return [(np.random.default_rng([cfg.seed, bidx]), size, lo, hi)
+            for bidx, size, lo, hi in group]
 
 
 def _draw(streams, draw) -> np.ndarray:
-    """``draw(rng, size)`` from each batch's own stream, concatenated."""
-    return np.concatenate([draw(rng, size) for rng, size in streams])
+    """The [lo:hi] slices of ``draw(rng, size)``, concatenated.  Each batch's
+    own stream draws at the batch's full size, so that an orbit gets the same
+    numbers in whichever group holds it."""
+    return np.concatenate([draw(rng, size)[lo:hi]
+                           for rng, size, lo, hi in streams])
 
 
 def _word(rng, size) -> np.ndarray:
@@ -221,7 +238,7 @@ def _run_group(imap, h, cfg, mode, cp, group):
     """One group's dropped-orbit count and its surviving orbits'
     (S, sup, sgn, checkpoints), where sgn sums sign(S_k) over the steps."""
     streams = _streams(cfg, group)
-    size = sum(s for _, s in group)
+    size = sum(hi - lo for _, _, lo, hi in group)
     state = _start(imap, cfg, mode, streams)
     point, advance = _stepper(imap, mode)
     n = cfg.n

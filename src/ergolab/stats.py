@@ -99,7 +99,8 @@ def clt_test(birkhoff_sums, n: int, sigma: float,
 
     With sigma = 0 (a coboundary) the normal limit degenerates to the
     point mass at 0; the test then requires the 0.99 quantile of
-    |S_n/sqrt(n)| to stay below 5% of ||h||_2.
+    |S_n/sqrt(n)| to stay below 5% of ||h||_2, or to be exactly 0, as for a
+    constant h, whose bound is 0 too.
     """
     z = np.asarray(birkhoff_sums, dtype=float) / np.sqrt(n)
     if sigma == 0.0:
@@ -111,7 +112,7 @@ def clt_test(birkhoff_sums, n: int, sigma: float,
             "name": "clt_degenerate",
             "statistic": q,
             "threshold": bound,
-            "verdict": bool(q < bound),
+            "verdict": bool(q < bound or q == 0.0),
         }
     return _ks_entry("clt_normal", z, reference_cdf("normal", sigma),
                      clt_threshold(z.size, n))

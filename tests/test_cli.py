@@ -138,8 +138,10 @@ def test_non_integer_config_value_is_config_error(capsys, tmp_path, value):
      "--seed", "1", "--n-max", "16"],
     ["verify", "--map", "lsv:0.25", "--obs", "lip1", "--cells", "65536",
      "--seed", "1", "--threads", "0"],
+    ["verify", "--map", "lsv:0.25", "--obs", "lip1", "--cells", "65536",
+     "--seed", "-1"],
 ], ids=["burnin-below-floor", "missing-seed", "n-max-below-floor",
-        "threads-below-one"])
+        "threads-below-one", "negative-seed"])
 def test_flag_errors_precede_operator_work(capsys, monkeypatch, argv):
     def no_measure(*args, **kwargs):
         raise AssertionError("resolve_measure ran before the flags were checked")
@@ -253,6 +255,16 @@ def test_verify_routes_coboundary_to_degenerate_test(capsys):
     assert payload["coboundary"]["verdict"] == "true"
     names = [t["name"] for t in payload["tests"]]
     assert names == ["clt_degenerate"]
+    assert payload["verdict"] is True
+
+
+def test_constant_observable_passes_the_degenerate_test(capsys):
+    # S_n is 0 for every orbit, and the degenerate bound 5% of ||h||_2 is 0
+    code, payload = run_cli(capsys, "verify", "--map", "doubling", "--obs",
+                            "0", *FAST)
+    assert code == 0
+    assert payload["tests"] == [{"name": "clt_degenerate", "statistic": 0.0,
+                                 "threshold": 0.0, "verdict": True}]
     assert payload["verdict"] is True
 
 

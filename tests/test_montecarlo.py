@@ -22,9 +22,10 @@ from ergolab import (
 from ergolab.errors import (
     ConfigurationError, DomainError, EnsembleRunError, PreconditionError,
 )
+from ergolab import montecarlo
 from ergolab.montecarlo import (
-    _MAX_DROP_FRACTION, MIN_BURNIN, _batches, _groups, _start, _stepper,
-    _streams,
+    _MAX_DROP_FRACTION, BATCH_SIZE, MIN_BURNIN, _batches, _groups, _start,
+    _stepper, _streams,
 )
 
 
@@ -32,6 +33,11 @@ def _cfg(**kw):
     base = dict(samples=2048, n=64, seed=123)
     base.update(kw)
     return EnsembleConfig(**base)
+
+
+def _whole_batches(cfg):
+    """Every batch of ``cfg`` as one (batch index, size, 0, size) slice."""
+    return [(bidx, size, 0, size) for bidx, size in _batches(cfg)]
 
 
 def test_config_validation():
@@ -42,6 +48,9 @@ def test_config_validation():
     for threads in (0, -3):
         with pytest.raises(ConfigurationError):
             EnsembleConfig(samples=200, n=8, seed=1, threads=threads)
+    for seed in (-1, 1.5, "7", None):
+        with pytest.raises(ConfigurationError):
+            EnsembleConfig(samples=200, n=8, seed=seed)
     # the burn-in floor holds wherever the burn-in sampler is chosen
     short = EnsembleConfig(samples=200, n=8, seed=1, burnin=10)
     with pytest.raises(ConfigurationError):
@@ -89,10 +98,62 @@ def test_point_modes_deterministic_across_threads(spec):
         assert np.array_equal(runs[0].occupation, run.occupation)
     # one wide start equals the batches' starts drawn one at a time
     mode = cfg.resolved_mode(m)
-    per_batch = [_start(m, cfg, mode, _streams(cfg, [batch]))
-                 for batch in _batches(cfg)]
-    whole = _start(m, cfg, mode, _streams(cfg, _batches(cfg)))
+    per_batch = [_start(m, cfg, mode, _streams(cfg, [piece]))
+                 for piece in _whole_batches(cfg)]
+    whole = _start(m, cfg, mode, _streams(cfg, _whole_batches(cfg)))
     assert np.array_equal(whole, np.concatenate(per_batch))
+
+
+@pytest.mark.parametrize("samples", [100, 4096, 5000, 9000, 20000, 100000])
+def test_groups_split_the_orbits_evenly(samples):
+    for threads in range(1, 6):
+        cfg = _cfg(samples=samples, threads=threads)
+        groups = _groups(cfg)
+        assert len(groups) == min(threads, len(_batches(cfg)))
+        # every slice draws its batch at the batch's full size
+        batches = dict(_batches(cfg))
+        assert all(batches[bidx] == size and 0 <= lo < hi <= size
+                   for g in groups for bidx, size, lo, hi in g)
+        orbits = np.concatenate([np.arange(lo, hi) + bidx * BATCH_SIZE
+                                 for g in groups for bidx, _, lo, hi in g])
+        assert np.array_equal(orbits, np.arange(samples))
+        sizes = [sum(hi - lo for _, _, lo, hi in g) for g in groups]
+        assert max(sizes) - min(sizes) <= 1
+
+
+def _assert_runs_equal(a, b):
+    for name in ("S", "sup", "occupation", "checkpoints"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
+
+# 9001 samples put the group boundaries inside batches at 2 to 5 threads
+# (4500 | 4501; 3000 | 3000 | 3001), and n = 130 takes the bit queue past
+# two 64-step refills
+@pytest.mark.parametrize("spec,n", [("doubling", 130), ("chebyshev:2", 32),
+                                    ("lsv:0.25", 32)])
+def test_split_batches_are_bit_equal_across_threads(spec, n):
+    m = builtin_map(spec)
+    h = lambda y: y * (1.0 - y)
+    cfg = _cfg(samples=9001, n=n)
+    assert any(lo > 0 for g in _groups(dataclasses.replace(cfg, threads=2))
+               for _, _, lo, _ in g)
+    runs = [run_ensemble(m, h, dataclasses.replace(cfg, threads=t),
+                         checkpoints=[n // 4, n // 2, n])
+            for t in range(1, 6)]
+    for run in runs[1:]:
+        _assert_runs_equal(runs[0], run)
+
+
+def test_split_batches_are_bit_equal_on_threads(monkeypatch):
+    # the fallback where the platform cannot fork runs the groups on threads
+    m, n = builtin_map("doubling"), 130
+    h = lambda y: y * (1.0 - y)
+    cfg = _cfg(samples=9001, n=n)
+    ref = run_ensemble(m, h, cfg, checkpoints=[n // 2, n])
+    monkeypatch.setattr(montecarlo, "_FORK", False)
+    run = run_ensemble(m, h, dataclasses.replace(cfg, threads=3),
+                       checkpoints=[n // 2, n])
+    _assert_runs_equal(ref, run)
 
 
 def _word_stream_points(cfg):
@@ -205,8 +266,10 @@ def test_too_many_escapes_raise():
         run_ensemble(bad, lambda y: y, cfg)
 
 
-# 9000 samples at threads=2 make two groups, of 4096 and 4904 orbits
-_GROUPS_CFG = dict(samples=9000, n=8, burnin=MIN_BURNIN, threads=2)
+# 9001 samples at threads=2 make two groups, of 4500 and 4501 orbits, split
+# inside batch 1; their lengths differ, so _escaping_per_group below counts
+# each group's calls apart on the thread path too
+_GROUPS_CFG = dict(samples=9001, n=8, burnin=MIN_BURNIN, threads=2)
 
 
 @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
@@ -241,20 +304,20 @@ def test_drops_from_several_groups_are_summed():
     m = builtin_map("lsv:0.25")
     h = lambda y: y * (1.0 - y)
     cfg = _cfg(**_GROUPS_CFG)
-    sizes = [sum(size for _, size in g) for g in _groups(cfg)]
-    assert sizes == [4096, 4904]
+    sizes = [sum(hi - lo for _, _, lo, hi in g) for g in _groups(cfg)]
+    assert sizes == [4500, 4501]
     limit = int(_MAX_DROP_FRACTION * cfg.samples)
     assert 2 * 4 <= limit < 2 * 5
     run = run_ensemble(_escaping_per_group(m, 4), h, cfg)
     base = run_ensemble(m, h, cfg)
     keep = np.ones(cfg.samples, dtype=bool)
-    keep[[0, 1, 2, 3, 4096, 4097, 4098, 4099]] = False
+    keep[[0, 1, 2, 3, 4500, 4501, 4502, 4503]] = False
     assert run.dropped == 8
     assert np.array_equal(run.S, base.S[keep])
     assert np.array_equal(run.sup, base.sup[keep])
     assert np.array_equal(run.occupation, base.occupation[keep])
     # 5 drops per group stay below the bound in each group, not in total
-    with pytest.raises(EnsembleRunError, match="10/9000"):
+    with pytest.raises(EnsembleRunError, match="10/9001"):
         run_ensemble(_escaping_per_group(m, 5), h, cfg)
 
 
@@ -343,8 +406,8 @@ def test_sample_invariant_is_the_ensemble_start(spec):
     cfg = _cfg(n=1, burnin=1000)
     mode = cfg.resolved_mode(m)
     point, _ = _stepper(m, mode)
-    starts = [_start(m, cfg, mode, _streams(cfg, [batch]))
-              for batch in _batches(cfg)]
+    starts = [_start(m, cfg, mode, _streams(cfg, [piece]))
+              for piece in _whole_batches(cfg)]
     assert np.array_equal(_sample_invariant(m, cfg),
                           point(np.concatenate(starts)))
 
