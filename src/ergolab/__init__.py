@@ -62,7 +62,6 @@ from .stats import (
 )
 from .transfer import (
     BranchTransferOperator,
-    UlamMatrix,
     UlamTransferOperator,
     duality_residual,
     invariant_density,

@@ -232,7 +232,7 @@ def _limit_tests(args, imap, nu, obs, run: EnsembleRun, sigma_values: dict,
     h_l2 = lp_norm(h, 2)
     sigma = sigma_values["green_kubo"]
     coboundary = None
-    if sigma < SIGMA_SMALL_FRACTION * h_l2 or obs.is_declared_coboundary:
+    if sigma <= SIGMA_SMALL_FRACTION * h_l2 or obs.is_declared_coboundary:
         coboundary = coboundary_detect(imap, nu, h)
         if coboundary.is_coboundary:
             sigma = 0.0

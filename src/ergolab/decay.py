@@ -31,7 +31,7 @@ __all__ = [
 ]
 
 MARGIN = 0.05  # slack on each exponent threshold
-ZERO_NORM_TOL = 1e-6
+ZERO_NORM_TOL = 1e-6  # of ||h||_2: the fit window's ||P^n h||_2 reads as 0
 MIN_CLASSIFY_N = 32  # shortest sequences classify_conditions accepts
 
 
@@ -162,9 +162,10 @@ def classify_conditions(map_label: str, observable: str, backend: str,
     report.diagnostics["fit_range"] = list(fit_range)
     report.diagnostics["margin"] = MARGIN
 
-    if np.max(l2[fit_range[0] - 1:]) <= ZERO_NORM_TOL:
+    if np.max(l2[fit_range[0] - 1:]) <= ZERO_NORM_TOL * cesaro[0]:
         # finite-step annihilation (P^k h = 0): every decay condition holds
-        # trivially and the fit window contains only roundoff noise.
+        # trivially and the fit window contains only roundoff noise; the
+        # tolerance scales with ||h||_2 = cesaro[0], and h = 0 lands here.
         report.flags = {
             "l2_decay_beta_gt_half": "pass",
             "l1_series_summable": "pass",

@@ -58,6 +58,11 @@ def _solve_resolvent(op, h: np.ndarray, eps: float, x: np.ndarray,
     def shifted(v):
         return (1.0 + eps) * v - op.apply(v)
 
+    def ratio(num, den):
+        if den == 0.0:
+            raise ConvergenceError(f"BiCGSTAB broke down at eps={eps:g}")
+        return num / den
+
     x = x.copy()
     restart = True
     for _ in range(MAX_ITERATIONS):
@@ -69,17 +74,18 @@ def _solve_resolvent(op, h: np.ndarray, eps: float, x: np.ndarray,
             r0, p, rho = r, r, dot(r, r)
         else:
             rho_next = dot(r0, r)
-            p = r + (rho_next / rho) * (alpha / omega) * (p - omega * v)
+            beta = ratio(rho_next, rho) * ratio(alpha, omega)
+            p = r + beta * (p - omega * v)
             rho = rho_next
         v = shifted(p)
-        alpha = rho / dot(r0, v)
+        alpha = ratio(rho, dot(r0, v))
         s = r - alpha * v
         if weighted_norm(s, masses) <= tol:  # converged at the half step
             x += alpha * p
             restart = True
             continue
         t = shifted(s)
-        omega = dot(t, s) / dot(t, t)
+        omega = ratio(dot(t, s), dot(t, t))
         if not (np.isfinite(alpha) and np.isfinite(omega)):
             raise ConvergenceError(f"BiCGSTAB broke down at eps={eps:g}")
         x += alpha * p + omega * s

@@ -78,12 +78,20 @@ def _compile_node(node):
 
 
 def parse_expression(text: str) -> Callable:
-    """Compile an expression over y into a vectorized callable."""
+    """Compile an expression over y into a vectorized callable whose value
+    has y's shape, also for an expression without y."""
     try:
         tree = ast.parse(text, mode="eval")
     except SyntaxError as exc:
         raise ParameterError(f"cannot parse observable {text!r}: {exc}") from exc
-    return _compile_node(tree)
+    compiled = _compile_node(tree)
+
+    def evaluate(y):
+        # a constant fills a new array: a stride-0 view rounds its mean apart
+        v = compiled(y)
+        return v if np.shape(v) == np.shape(y) else np.full(np.shape(y), v)
+
+    return evaluate
 
 
 _BUILTINS = {
@@ -155,8 +163,6 @@ def build_observable(spec: str, imap: IntervalMap,
     """Resolve a spec, sample it on nu's grid and center it."""
     raw = _raw_callable(spec, imap)
     values = np.asarray(raw(nu.grid.nodes), dtype=float)
-    if values.shape != nu.grid.nodes.shape:
-        values = np.broadcast_to(values, nu.grid.nodes.shape).astype(float)
     mean = float(values @ nu.masses)
     mc_mean = mean
     if not nu.closed_form:

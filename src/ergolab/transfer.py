@@ -16,13 +16,15 @@ Two interchangeable backends realize the transfer operator:
   P1 = 1, mean preservation and the L^p contractions hold to machine
   precision by construction.  This is the default for maps without a
   closed-form invariant density.
+
+One bounded LRU keyed on content caches the operators of both backends,
+and each operator keeps a bounded ``memo`` of sweeps and Poisson solutions.
 """
 
 from __future__ import annotations
 
 import hashlib
 from collections import OrderedDict
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import coo_matrix, csr_matrix
@@ -36,7 +38,6 @@ from .function_space import GridFunction, MeasureDensity, QuadratureGrid
 from .maps import IntervalMap
 
 __all__ = [
-    "UlamMatrix",
     "transfer_apply",
     "duality_residual",
     "ulam_matrix",
@@ -47,16 +48,16 @@ __all__ = [
 ]
 
 
-def _koopman_matrix(imap: IntervalMap, grid: QuadratureGrid) -> csr_matrix:
-    """Sparse interpolation matrix for f -> f o T on grid nodes."""
-    tx = imap(grid.nodes)
-    j, t = grid.locate(tx)
-    n = grid.size
-    rows = np.repeat(np.arange(n), 2)
-    cols = np.empty(2 * n, dtype=int)
-    vals = np.empty(2 * n)
-    cols[0::2], cols[1::2] = j, j + 1
-    vals[0::2], vals[1::2] = 1.0 - t, t
+def _stencil(grid: QuadratureGrid, rows: np.ndarray, y: np.ndarray, coeff):
+    """COO triples (rows, cols, vals): coeff times interpolation at y."""
+    j, t = grid.locate(y)
+    return (np.concatenate([rows, rows]), np.concatenate([j, j + 1]),
+            np.concatenate([coeff * (1.0 - t), coeff * t]))
+
+
+def _csr(n: int, parts) -> csr_matrix:
+    """The n x n CSR matrix summing the COO triples (rows, cols, vals)."""
+    rows, cols, vals = map(np.concatenate, zip(*parts))
     return coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
 
 
@@ -78,7 +79,7 @@ class BranchTransferOperator:
         rho_x = np.asarray(pdf(grid.nodes), dtype=float)
         if np.any(rho_x <= 0):
             raise DegenerateMeasureError("density vanishes at a grid node")
-        rows, cols, vals = [], [], []
+        parts = []
         for br in imap.branches:
             rlo, rhi = br.range
             mask = (grid.nodes >= rlo - 1e-12) & (grid.nodes <= rhi + 1e-12)
@@ -89,20 +90,13 @@ class BranchTransferOperator:
             y = np.clip(br.inverse(x), br.lo, br.hi)
             d = br.deriv_mag(y)
             coeff = np.asarray(pdf(y), dtype=float) / (rho_x[idx] * d)
-            j, t = grid.locate(y)
-            rows.append(idx)
-            cols.append(j)
-            vals.append(coeff * (1.0 - t))
-            rows.append(idx)
-            cols.append(j + 1)
-            vals.append(coeff * t)
+            parts.append(_stencil(grid, idx, y, coeff))
         n = grid.size
-        self.matrix = coo_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(n, n),
-        ).tocsr()
-        self._koopman = _koopman_matrix(imap, grid)
+        self.matrix = _csr(n, parts)
+        self._koopman = _csr(n, [_stencil(grid, np.arange(n),
+                                          imap(grid.nodes), 1.0)])
         self._masses = measure.masses
+        self.memo = OrderedDict()
 
     def apply(self, values: np.ndarray) -> np.ndarray:
         out = self.matrix @ values
@@ -126,36 +120,26 @@ class UlamTransferOperator:
     def __init__(self, imap: IntervalMap, grid: QuadratureGrid):
         self.imap = imap
         self.grid = grid
-        self.ulam = ulam_matrix(imap, grid)
-        self.p = stationary_vector(self.ulam)
+        self.matrix = ulam_matrix(imap, grid)
+        self.p = stationary_vector(self.matrix)
         self.measure = MeasureDensity.from_masses(
             grid, self.p, name=f"{imap.label}-ulam-{grid.size}"
         )
-        self._mt = self.ulam.matrix.T.tocsr()
-        self._m = self.ulam.matrix
+        self._mt = self.matrix.T.tocsr()
+        self.memo = OrderedDict()
 
     def apply(self, values: np.ndarray) -> np.ndarray:
         return (self._mt @ (self.p * values)) / self.p
 
     def koopman(self, values: np.ndarray) -> np.ndarray:
-        return self._m @ values
+        return self.matrix @ values
 
 
-@dataclass(frozen=True)
-class UlamMatrix:
-    """Row-stochastic cell-transition matrix M_ij = Leb(A_i n T^-1 A_j)/Leb(A_i)."""
-
-    matrix: csr_matrix
-
-    def row_sum_defect(self) -> float:
-        return float(np.max(np.abs(self.matrix.sum(axis=1) - 1.0)))
-
-
-def ulam_matrix(imap: IntervalMap, grid: QuadratureGrid) -> UlamMatrix:
-    """Assemble the Ulam matrix on ``grid.edges`` from exact
-    branch-inverse interval lengths: each branch pulls the x-edges in its
-    range back to y, and each pulled-back segment, which maps into one
-    x-cell j, is spread over the y-cells i it overlaps."""
+def ulam_matrix(imap: IntervalMap, grid: QuadratureGrid) -> csr_matrix:
+    """Row-stochastic CSR matrix M_ij = Leb(A_i n T^-1 A_j)/Leb(A_i) on the
+    cells of ``grid.edges``, from exact branch-inverse lengths: each branch
+    pulls the x-edges in its range back to y, and each pulled-back segment,
+    which maps into one x-cell j, is spread over the y-cells i it overlaps."""
     n = grid.size
     if n < 16:
         raise InvalidInputError("Ulam discretization needs at least 16 cells")
@@ -178,24 +162,22 @@ def ulam_matrix(imap: IntervalMap, grid: QuadratureGrid) -> UlamMatrix:
         i = i0[seg] + np.arange(seg.size) - (np.cumsum(counts) - counts)[seg]
         overlap = (np.minimum(yhi[seg], edges[i + 1])
                    - np.maximum(ylo[seg], edges[i]))
-        parts.append((overlap / width[i], i, j[seg]))
-    vals, rows, cols = map(np.concatenate, zip(*parts))
-    m = coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
+        parts.append((i, j[seg], overlap / width[i]))
+    m = _csr(n, parts)
     m.eliminate_zeros()  # segment ends that sit on a y-edge
     # kill accumulated roundoff so rows are stochastic to machine precision
     rs = np.asarray(m.sum(axis=1)).ravel()
-    m = csr_matrix(m.multiply(1.0 / rs[:, None]))
-    return UlamMatrix(m)
+    return csr_matrix(m.multiply(1.0 / rs[:, None]))
 
 
 STATIONARY_TOL = 1e-12  # L1 change between power-iteration steps
 STATIONARY_MAX_ITER = 100_000
 
 
-def stationary_vector(ulam: UlamMatrix) -> np.ndarray:
+def stationary_vector(matrix: csr_matrix) -> np.ndarray:
     """Left fixed vector of the Ulam matrix by plain power iteration."""
-    n = ulam.matrix.shape[0]
-    mt = ulam.matrix.T.tocsr()
+    n = matrix.shape[0]
+    mt = matrix.T.tocsr()
     p = np.full(n, 1.0 / n)
     for _ in range(STATIONARY_MAX_ITER):
         q = mt @ p
@@ -209,10 +191,9 @@ def stationary_vector(ulam: UlamMatrix) -> np.ndarray:
     )
 
 
-# LRU caches keyed on content (maps, grids and measures are immutable); one
-# run builds Ulam operators at N/4, N/2 and N cells.
+# The one operator LRU, keyed on content (maps, grids and measures are
+# immutable); one run builds Ulam operators at N/4, N/2 and N cells.
 _CACHE_SIZE = 8
-_ULAM_CACHE: OrderedDict = OrderedDict()
 _OP_CACHE: OrderedDict = OrderedDict()
 
 
@@ -238,25 +219,23 @@ def _memo(op, key: tuple, values: np.ndarray, build):
     bounded store ``op.memo``, so that the statistics of one observable
     share its sweep of P^k h and its Poisson solution; every caller gets
     the same arrays, so they are read-only."""
-    store = vars(op).setdefault("memo", OrderedDict())
-    out = _cached(store, (*key, _digest(values)), build)
+    out = _cached(op.memo, (*key, _digest(values)), build)
     for arr in out:
         if isinstance(arr, np.ndarray):
             arr.flags.writeable = False
     return out
 
 
-def _cached_ulam(imap: IntervalMap,
-                 grid: QuadratureGrid) -> UlamTransferOperator:
-    key = (imap.label, _digest(grid.edges, grid.nodes))
-    return _cached(_ULAM_CACHE, key, lambda: UlamTransferOperator(imap, grid))
+def _ulam(imap: IntervalMap, grid: QuadratureGrid) -> UlamTransferOperator:
+    key = (imap.label, "ulam", _digest(grid.edges, grid.nodes))
+    return _cached(_OP_CACHE, key, lambda: UlamTransferOperator(imap, grid))
 
 
 def invariant_density(imap: IntervalMap, n_cells: int) -> MeasureDensity:
     """Invariant density estimate from the Ulam fixed vector on the uniform
     midpoint grid of n_cells cells."""
     grid = QuadratureGrid.midpoint(*imap.domain, n_cells)
-    return _cached_ulam(imap, grid).measure
+    return _ulam(imap, grid).measure
 
 
 def make_backend(imap: IntervalMap, measure: MeasureDensity, kind: str = "auto"):
@@ -267,15 +246,12 @@ def make_backend(imap: IntervalMap, measure: MeasureDensity, kind: str = "auto")
         kind = "branch" if measure.closed_form else "ulam"
     if kind not in ("branch", "ulam"):
         raise InvalidInputError(f"unknown backend kind {kind!r}")
-
-    def build():
-        if kind == "branch":
-            return BranchTransferOperator(imap, measure)
-        return _cached_ulam(imap, measure.grid)
-
+    if kind == "ulam":
+        return _ulam(imap, measure.grid)
     key = _digest(measure.grid.edges, measure.grid.nodes, measure.values,
                   measure.masses)
-    return _cached(_OP_CACHE, (imap.label, kind, key), build)
+    return _cached(_OP_CACHE, (imap.label, "branch", key),
+                   lambda: BranchTransferOperator(imap, measure))
 
 
 def resolve_measure(imap: IntervalMap, grid: QuadratureGrid) -> MeasureDensity:
@@ -284,7 +260,7 @@ def resolve_measure(imap: IntervalMap, grid: QuadratureGrid) -> MeasureDensity:
     m = imap.closed_form_measure(grid)
     if m is not None:
         return m
-    return _cached_ulam(imap, grid).measure
+    return _ulam(imap, grid).measure
 
 
 def transfer_apply(imap: IntervalMap, nu: MeasureDensity,

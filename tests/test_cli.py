@@ -266,6 +266,30 @@ def test_constant_observable_passes_the_degenerate_test(capsys):
     assert payload["tests"] == [{"name": "clt_degenerate", "statistic": 0.0,
                                  "threshold": 0.0, "verdict": True}]
     assert payload["verdict"] is True
+    # sigma = 0 = 5% of ||h||_2 routes h = 0, the trivial coboundary, to
+    # coboundary detection
+    assert payload["coboundary"]["verdict"] == "true"
+    assert payload["coboundary"]["residual"] == 0.0
+
+
+@pytest.mark.parametrize("command", ["decay", "verify"])
+def test_constant_observable_on_an_ulam_map(capsys, command):
+    # the Monte Carlo centre extrapolates the means on N/4 and N/2 cells,
+    # where a constant expression used to give a 0-d value
+    code, payload = run_cli(capsys, command, "--map", "lsv:0.25", "--obs",
+                            "0", *FAST)
+    assert code == 0
+    decay = payload if command == "decay" else payload["decay"]
+    assert set(decay["flags"].values()) == {"pass"}
+
+
+@pytest.mark.parametrize("spec,obs", [("doubling", "2*pi"), ("lsv:0.25", "3")])
+def test_solver_breakdown_is_a_convergence_error(capsys, spec, obs):
+    # the constant is centred only to roundoff, so a Krylov scalar of the
+    # Poisson solve vanishes: dot(r0, v) on doubling, rho on lsv
+    code = main(["sigma", "--map", spec, "--obs", obs, *FAST])
+    assert code == 3
+    assert "convergence error: BiCGSTAB broke down" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["clt", "fclt"])

@@ -4,6 +4,7 @@ import pytest
 from ergolab import (
     GridFunction,
     build_observable,
+    builtin_map,
     cesaro_norm_sequence,
     classify_conditions,
     decay_report,
@@ -74,6 +75,17 @@ def test_classify_fast_path_after_annihilation(doubling, doubling_nu):
     )
     assert all(v == "pass" for v in report.flags.values())
     assert "fast_path" in report.diagnostics
+
+
+def test_flags_do_not_depend_on_the_observable_scale():
+    # lsv:0.8 has no CLT; the annihilation fast path read an absolute
+    # 1e-6 and passed every flag for 1e-7*y
+    m = builtin_map("lsv:0.8")
+    nu = resolve_measure(m, m.default_grid(1024))
+    flags = [decay_report(m, nu, build_observable(spec, m, nu).grid_function)
+             .flags for spec in ("y", "1e-7*y")]
+    assert flags[0] == flags[1]
+    assert set(flags[0].values()) == {"fail"}
 
 
 def test_classify_polynomial_decay(lsv25, lsv25_nu):

@@ -27,11 +27,10 @@ def lsv25_1024(lsv25):
 
 @pytest.fixture
 def cold_caches(monkeypatch):
-    """Empty operator caches, so the next make_backend builds a new
+    """An empty operator cache, so the next make_backend builds a new
     operator with an empty store of sweeps and Poisson solutions."""
     def clear():
         monkeypatch.setattr(transfer, "_OP_CACHE", OrderedDict())
-        monkeypatch.setattr(transfer, "_ULAM_CACHE", OrderedDict())
 
     return clear
 

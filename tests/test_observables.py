@@ -78,3 +78,9 @@ def test_mc_mean_extrapolated_for_ulam_measures(lsv25, lsv25_nu):
 def test_constant_expression_broadcasts(doubling, doubling_nu):
     obs = build_observable("1 + 2", doubling, doubling_nu)
     assert np.allclose(obs.grid_function.values, 0.0)
+    # the expression itself fills y's shape with a contiguous array, not a
+    # 0-d value or a stride-0 view
+    y = np.linspace(0.0, 1.0, 7)
+    v = parse_expression("2*pi")(y)
+    assert v.shape == y.shape and v.flags.c_contiguous
+    assert np.all(v == 2 * np.pi)
