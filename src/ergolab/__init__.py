@@ -53,7 +53,6 @@ from .montecarlo import (
 from .observables import Observable, build_observable, parse_expression
 from .stats import (
     KSResult,
-    LimitTestReport,
     clt_test,
     clt_threshold,
     fclt_test,

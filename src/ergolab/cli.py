@@ -44,7 +44,7 @@ from .montecarlo import (
     sigma_variance_growth,
 )
 from .observables import build_observable
-from .stats import LimitTestReport, clt_test, fclt_test
+from .stats import clt_test, fclt_test
 from .transfer import resolve_measure
 
 SCHEMA = "ergolab/1"
@@ -226,7 +226,7 @@ def _limit_tests(args, imap, nu, obs, run: EnsembleRun, sigma_values: dict,
 
     A declared or near-zero-sigma observable goes to coboundary detection
     first; a detected coboundary takes the degenerate test (sigma = 0).
-    Returns (report, paths or None, detection or None).
+    Returns (report dict, paths or None, detection or None).
     """
     h = obs.grid_function
     h_l2 = lp_norm(h, 2)
@@ -236,13 +236,14 @@ def _limit_tests(args, imap, nu, obs, run: EnsembleRun, sigma_values: dict,
         coboundary = coboundary_detect(imap, nu, h)
         if coboundary.is_coboundary:
             sigma = 0.0
-    report = LimitTestReport(imap.label, args.obs, sigma=sigma_values,
-                             sigma_used="green_kubo")
-    report.entries.append(clt_test(run.S, run.n, sigma, h_l2=h_l2))
+    tests = [clt_test(run.S, run.n, sigma, h_l2=h_l2)]
     paths = None
     if with_fclt and sigma > 0:
         paths = PathEnsemble.from_run(run, sigma, args.m)
-        report.entries.extend(fclt_test(paths))
+        tests += fclt_test(paths)
+    report = {"map": imap.label, "observable": args.obs, "tests": tests,
+              "sigma": sigma_values, "sigma_used": "green_kubo",
+              "verdict": all(t["verdict"] for t in tests)}
     return report, paths, coboundary
 
 
@@ -255,8 +256,8 @@ def cmd_limit_tests(args) -> int:
                                     {"green_kubo": gk.sigma},
                                     with_fclt=args.command == "fclt")
     csv_files = {"fclt_functionals.csv": paths.functionals_csv()} if paths else None
-    _emit(args, args.command, report.to_json(), csv_files)
-    return EXIT_OK if report.all_pass else EXIT_VERIFY
+    _emit(args, args.command, report, csv_files)
+    return EXIT_OK if report["verdict"] else EXIT_VERIFY
 
 
 def _verify_payload(args, imap, nu, obs, cfg) -> dict:
@@ -272,14 +273,12 @@ def _verify_payload(args, imap, nu, obs, cfg) -> dict:
         "variance_growth": run.variance_growth()[-1][1],
         "martingale_norm": gd.sigma_mart,
     }
-    report, _, coboundary = _limit_tests(args, imap, nu, obs, run,
-                                         sigma_values, with_fclt=True)
-    payload = report.to_json()
+    payload, _, coboundary = _limit_tests(args, imap, nu, obs, run,
+                                          sigma_values, with_fclt=True)
     payload["decay"] = decay.to_json()
     payload["gordin"] = gd.to_json()
     payload["coboundary"] = coboundary.to_json() if coboundary else None
     payload["h_l2"] = lp_norm(h, 2)
-    payload["verdict"] = report.all_pass
     return payload
 
 

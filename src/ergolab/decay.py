@@ -14,11 +14,10 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import FitError, InvalidInputError, PreconditionError
-from .function_space import (GridFunction, MeasureDensity, require_centered,
-                             weighted_norm)
+from .errors import FitError, PreconditionError
+from .function_space import GridFunction, MeasureDensity, weighted_norm
 from .maps import IntervalMap
-from .transfer import _memo, make_backend
+from .transfer import _backend_for, _memo
 
 __all__ = [
     "DecayReport",
@@ -39,12 +38,8 @@ def _sweep(imap: IntervalMap, nu: MeasureDensity, h: GridFunction,
            n_max: int, backend: str):
     """One pass over P^k h: the backend kind and, for n = 1..n_max,
     ||P^n h||_1, ||P^n h||_2 and ||sum_{k=0}^{n-1} P^k h||_2."""
-    require_centered(h)
-    op = make_backend(imap, nu, kind=backend)
-    masses = op.measure.masses
-    if not np.array_equal(masses, nu.masses):  # h is centred under nu
-        raise InvalidInputError(f"the {op.kind} backend's measure "
-                                f"{op.measure.name} is not {nu.name}")
+    op = _backend_for(imap, nu, h, kind=backend)
+    masses = nu.masses
 
     def sweep():
         l1, l2, ces = np.empty(n_max), np.empty(n_max), np.empty(n_max)
@@ -208,7 +203,8 @@ def classify_conditions(map_label: str, observable: str, backend: str,
 def decay_report(imap: IntervalMap, nu: MeasureDensity, h: GridFunction,
                  observable: str = "h", n_max: int = 64) -> DecayReport:
     """Full decay diagnostics for one (map, observable) pair."""
-    if n_max < 2:
-        raise PreconditionError("n_max must be >= 2")
+    if n_max < MIN_CLASSIFY_N:
+        raise PreconditionError(
+            f"classification needs n_max >= {MIN_CLASSIFY_N}")
     kind, l1, l2, ces = _sweep(imap, nu, h, n_max, "auto")
     return classify_conditions(imap.label, observable, kind, l1, l2, ces)

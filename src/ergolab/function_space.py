@@ -192,14 +192,6 @@ class GridFunction:
     def with_values(self, values) -> "GridFunction":
         return GridFunction(values, self.measure)
 
-    def __sub__(self, other):
-        return self.with_values(self.values - _vals(other))
-
-    def __mul__(self, other):
-        return self.with_values(self.values * _vals(other))
-
-    __rmul__ = __mul__
-
     def interpolate(self, y):
         """Piecewise-linear evaluation at arbitrary points; beyond the
         first/last node it extrapolates linearly from the boundary pair, with
@@ -216,10 +208,6 @@ def _node_value_csv(nodes, values) -> str:
     return "node,value\n" + "".join(
         f"{x!r},{v!r}\n" for x, v in zip(nodes.tolist(), values.tolist())
     )
-
-
-def _vals(x):
-    return x.values if isinstance(x, GridFunction) else x
 
 
 def _check_compatible(f: GridFunction, g: GridFunction):
@@ -245,7 +233,7 @@ def require_centered(f: GridFunction):
 
 def weighted_norm(values: np.ndarray, masses: np.ndarray, p=2) -> float:
     """L^p norm of node values against node masses, for p in {1, 2, inf}."""
-    if p == np.inf or p == "inf":
+    if p == np.inf:
         return float(np.max(np.abs(values)))
     if p == 1:
         return float(np.abs(values) @ masses)

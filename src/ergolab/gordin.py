@@ -27,10 +27,9 @@ import numpy as np
 
 from .decay import cesaro_norm_sequence
 from .errors import ConvergenceError
-from .function_space import (GridFunction, MeasureDensity, require_centered,
-                             weighted_norm)
+from .function_space import GridFunction, MeasureDensity, weighted_norm
 from .maps import IntervalMap
-from .transfer import _memo, make_backend
+from .transfer import _backend_for, _memo
 
 __all__ = [
     "GordinDecomposition",
@@ -136,9 +135,8 @@ def gordin_decompose(imap: IntervalMap, nu: MeasureDensity, h: GridFunction,
                      tail_tol: Optional[float] = None) -> GordinDecomposition:
     """Run the dyadic schedule eps_k = 2^-k, k = 1..K_MAX, and collect the
     martingale part estimate h-tilde = h_{eps_(K_MAX)}."""
-    require_centered(h)
-    op = make_backend(imap, nu)
-    masses = op.measure.masses
+    op = _backend_for(imap, nu, h)
+    masses = nu.masses
     if tail_tol is None:
         tail_tol = 1e-6 * max(weighted_norm(h.values, masses), 1e-30)
     eps_list = [2.0**-k for k in range(1, K_MAX + 1)]
@@ -206,9 +204,8 @@ class CoboundaryResult:
 def coboundary_detect(imap: IntervalMap, nu: MeasureDensity,
                       h: GridFunction) -> CoboundaryResult:
     """Detect h = f o T - f; the transfer function is f = P (I - P)^-1 h."""
-    require_centered(h)
-    op = make_backend(imap, nu)
-    masses = op.measure.masses
+    op = _backend_for(imap, nu, h)
+    masses = nu.masses
 
     ces = cesaro_norm_sequence(imap, nu, h, 64)
     # bounded if the last quarter of the Cesaro curve is flat to 1%

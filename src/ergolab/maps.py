@@ -30,7 +30,7 @@ from typing import Callable, List, Optional
 import numpy as np
 
 from .errors import ConfigurationError, DomainError, NumericalEscapeError
-from .function_space import MeasureDensity, QuadratureGrid
+from .function_space import QuadratureGrid
 
 __all__ = ["Branch", "IntervalMap", "builtin_map"]
 
@@ -112,16 +112,6 @@ class IntervalMap:
                 self.domain[0], self.domain[1], self.node_maker(n)
             )
         return QuadratureGrid.midpoint(self.domain[0], self.domain[1], n)
-
-    def closed_form_measure(self, grid: QuadratureGrid) -> Optional[MeasureDensity]:
-        if self.density_pdf is None:
-            return None
-        return MeasureDensity.from_callable(
-            grid,
-            self.density_pdf,
-            name=f"{self.name}-invariant",
-            cdf=self.density_cdf,
-        )
 
 
 def _doubling() -> IntervalMap:
@@ -249,22 +239,20 @@ _BUILDERS = {
 }
 
 
-def builtin_map(name: str, param=None) -> IntervalMap:
-    """Construct a registered map; accepts builtin_map("lsv", 0.5) and the
-    compact spec form builtin_map("lsv:0.5")."""
-    if param is None and ":" in name:
-        name, text = name.split(":", 1)
-        try:
-            param = float(text)
-        except ValueError:
-            raise ConfigurationError(f"bad map parameter {text!r}") from None
+def builtin_map(spec: str) -> IntervalMap:
+    """Construct a registered map from its spec NAME[:PARAM], e.g. "lsv:0.5"."""
+    name, colon, text = spec.partition(":")
     if name not in _BUILDERS:
         raise ConfigurationError(f"unknown map {name!r}")
     builder, needs_param = _BUILDERS[name]
-    if needs_param:
-        if param is None:
+    if not colon:
+        if needs_param:
             raise ConfigurationError(f"map {name!r} requires a parameter")
-        return builder(param)
-    if param is not None:
+        return builder()
+    try:
+        param = float(text)
+    except ValueError:
+        raise ConfigurationError(f"bad map parameter {text!r}") from None
+    if not needs_param:
         raise ConfigurationError(f"map {name!r} takes no parameter")
-    return builder()
+    return builder(param)

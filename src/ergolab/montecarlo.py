@@ -65,7 +65,6 @@ At full resolution the gap is ~1e-2 and the reference laws apply.
 
 from __future__ import annotations
 
-import dataclasses
 import multiprocessing
 import threading
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
@@ -75,10 +74,10 @@ from typing import Callable, List, Optional, Sequence
 import numpy as np
 
 from .errors import ConfigurationError, EnsembleRunError, PreconditionError
-from .function_space import GridFunction, MeasureDensity, require_centered
+from .function_space import GridFunction, MeasureDensity
 from .gordin import solve_poisson
 from .maps import _ESCAPE_TOL, IntervalMap, _inside
-from .transfer import make_backend
+from .transfer import _backend_for
 
 __all__ = [
     "EnsembleConfig",
@@ -349,21 +348,19 @@ def sigma_green_kubo(imap: IntervalMap, nu: MeasureDensity,
                      h: GridFunction) -> GreenKuboResult:
     """sigma^2 = int h^2 dnu + 2 sum_k <P^k h, h> = <h, 2f - h>, where
     (I - P) f = h is solved to residual POISSON_TOL * ||h||_2."""
-    require_centered(h)
-    op = make_backend(imap, nu)
+    op = _backend_for(imap, nu, h)
     f, residual = solve_poisson(op, h.values)
-    sigma2 = float((h.values * (2.0 * f - h.values)) @ op.measure.masses)
+    sigma2 = float((h.values * (2.0 * f - h.values)) @ nu.masses)
     return GreenKuboResult(sigma2, residual)
 
 
 def sigma_variance_growth(imap: IntervalMap, h: Callable, n_list: Sequence[int],
                           cfg: EnsembleConfig) -> List[tuple]:
-    """Sample-L2 norms of S_n / sqrt(n) along an increasing n schedule."""
+    """Sample-L2 norms of S_n / sqrt(n) along an increasing n schedule in
+    [1, cfg.n]."""
     n_list = [int(n) for n in n_list]
     if any(b <= a for a, b in zip(n_list, n_list[1:])):
         raise PreconditionError("n_list must be strictly increasing")
-    if n_list[-1] > cfg.n:
-        cfg = dataclasses.replace(cfg, n=n_list[-1])
     return run_ensemble(imap, h, cfg, checkpoints=n_list).variance_growth()
 
 

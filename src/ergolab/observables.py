@@ -2,16 +2,18 @@
 
 An observable spec is one of
 
-* a builtin name: ``y``, ``cos1`` (cos 2*pi*y), ``cos2`` (cos 4*pi*y),
-  ``lip1`` (identity, kept as the Lipschitz reference observable);
-* ``coboundary:SPEC`` for g o T - g where g is itself a spec;
 * an arithmetic expression over ``y`` with ``cos``, ``sin``, ``pi``,
-  numeric literals and ``+ - * / **`` (e.g. ``"cos(2*pi*y) + 0.5*y**2"``).
+  numeric literals and ``+ - * / **`` (e.g. ``"cos(2*pi*y) + 0.5*y**2"``);
+* a builtin name, which is shorthand for an expression: ``lip1`` for
+  ``y`` (kept as the Lipschitz reference observable), ``cos1`` for
+  ``cos(2*pi*y)`` and ``cos2`` for ``cos(4*pi*y)``;
+* ``coboundary:SPEC`` for g o T - g where g is itself a spec.
 
 Every observable is centered against the quadrature mean of the supplied
 invariant measure; the same constant shifts both the grid samples used by
 the operator machinery and the pointwise callable used by the Monte Carlo
-engines, so the two views agree.
+engines, so the two views agree.  A constant observable is centred by its
+own value, so that both views are exactly 0.
 """
 
 from __future__ import annotations
@@ -87,19 +89,17 @@ def parse_expression(text: str) -> Callable:
     compiled = _compile_node(tree)
 
     def evaluate(y):
+        y = np.asarray(y, dtype=float)
         # a constant fills a new array: a stride-0 view rounds its mean apart
         v = compiled(y)
-        return v if np.shape(v) == np.shape(y) else np.full(np.shape(y), v)
+        return v if np.shape(v) == y.shape else np.full(y.shape, v)
 
     return evaluate
 
 
-_BUILTINS = {
-    "y": lambda y: np.asarray(y, dtype=float),
-    "lip1": lambda y: np.asarray(y, dtype=float),
-    "cos1": lambda y: np.cos(2.0 * np.pi * np.asarray(y, dtype=float)),
-    "cos2": lambda y: np.cos(4.0 * np.pi * np.asarray(y, dtype=float)),
-}
+# compiled at import: building an observable then parses only other specs
+_BUILTINS = {name: parse_expression(text) for name, text in
+             {"lip1": "y", "cos1": "cos(2*pi*y)", "cos2": "cos(4*pi*y)"}.items()}
 
 
 def _raw_callable(spec: str, imap: IntervalMap) -> Callable:
@@ -107,9 +107,7 @@ def _raw_callable(spec: str, imap: IntervalMap) -> Callable:
     if spec.startswith("coboundary:"):
         base = _raw_callable(spec[len("coboundary:"):], imap)
         return lambda y: base(imap(np.asarray(y, dtype=float))) - base(y)
-    if spec in _BUILTINS:
-        return _BUILTINS[spec]
-    return parse_expression(spec)
+    return _BUILTINS.get(spec) or parse_expression(spec)
 
 
 @dataclass(frozen=True)
@@ -163,10 +161,15 @@ def build_observable(spec: str, imap: IntervalMap,
     """Resolve a spec, sample it on nu's grid and center it."""
     raw = _raw_callable(spec, imap)
     values = np.asarray(raw(nu.grid.nodes), dtype=float)
-    mean = float(values @ nu.masses)
-    mc_mean = mean
-    if not nu.closed_form:
-        mc_mean = _extrapolated_mean(raw, imap, nu.grid.size, mean)
+    if values.min() == values.max():
+        # a constant is its own mean, which makes h = 0 exactly; the
+        # quadrature sum may round apart and leave a roundoff-level h
+        mean = mc_mean = float(values[0])
+    else:
+        mean = float(values @ nu.masses)
+        mc_mean = mean
+        if not nu.closed_form:
+            mc_mean = _extrapolated_mean(raw, imap, nu.grid.size, mean)
     gf = GridFunction(values - mean, nu)
     return Observable(spec=spec, raw=raw, mean=mean, grid_function=gf,
                       mc_mean=mc_mean)

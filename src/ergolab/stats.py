@@ -10,7 +10,7 @@ second a Berry-Esseen-style allowance for the finite Birkhoff length.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List, Optional
 
 import numpy as np
@@ -26,7 +26,6 @@ __all__ = [
     "clt_threshold",
     "clt_test",
     "fclt_test",
-    "LimitTestReport",
 ]
 
 DEGENERATE_QUANTILE = 0.99
@@ -132,26 +131,3 @@ def fclt_test(paths: PathEnsemble) -> List[dict]:
         _ks_entry("fclt_occupation", paths.occupation,
                   reference_cdf("arcsine"), base + FCLT_ALLOWANCE),
     ]
-
-
-@dataclass
-class LimitTestReport:
-    map_label: str
-    observable: str
-    entries: List[dict] = field(default_factory=list)
-    sigma: dict = field(default_factory=dict)  # estimator name -> value
-    sigma_used: Optional[str] = None
-
-    @property
-    def all_pass(self) -> bool:
-        return all(e["verdict"] for e in self.entries)
-
-    def to_json(self) -> dict:
-        return {
-            "map": self.map_label,
-            "observable": self.observable,
-            "tests": list(self.entries),
-            "sigma": dict(self.sigma),
-            "sigma_used": self.sigma_used,
-            "verdict": self.all_pass,
-        }

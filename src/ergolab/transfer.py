@@ -34,7 +34,8 @@ from .errors import (
     DegenerateMeasureError,
     InvalidInputError,
 )
-from .function_space import GridFunction, MeasureDensity, QuadratureGrid
+from .function_space import (GridFunction, MeasureDensity, QuadratureGrid,
+                             require_centered)
 from .maps import IntervalMap
 
 __all__ = [
@@ -257,10 +258,23 @@ def make_backend(imap: IntervalMap, measure: MeasureDensity, kind: str = "auto")
 def resolve_measure(imap: IntervalMap, grid: QuadratureGrid) -> MeasureDensity:
     """Closed-form invariant measure when the map carries one, the Ulam
     measure on ``grid`` otherwise."""
-    m = imap.closed_form_measure(grid)
-    if m is not None:
-        return m
+    if imap.density_pdf is not None:
+        return MeasureDensity.from_callable(
+            grid, imap.density_pdf, f"{imap.name}-invariant", imap.density_cdf)
     return _ulam(imap, grid).measure
+
+
+def _backend_for(imap: IntervalMap, nu: MeasureDensity, h: GridFunction,
+                 kind: str = "auto"):
+    """``make_backend(imap, nu, kind)`` for an analysis of h, which must be
+    centred under nu; raises InvalidInputError unless the backend's measure
+    has nu's masses, as an Ulam backend on any other measure has not."""
+    require_centered(h)
+    op = make_backend(imap, nu, kind=kind)
+    if not np.array_equal(op.measure.masses, nu.masses):
+        raise InvalidInputError(f"the {op.kind} backend's measure "
+                                f"{op.measure.name} is not {nu.name}")
+    return op
 
 
 def transfer_apply(imap: IntervalMap, nu: MeasureDensity,

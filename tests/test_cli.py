@@ -177,6 +177,26 @@ def test_verify_passes_on_doubling(capsys):
     assert payload["gordin"]["sigma_mart"] > 0
 
 
+def test_verify_fails_without_a_clt(capsys):
+    # lsv:0.8 has no CLT; a small scale must not rescue the verdict
+    code, payload = run_cli(capsys, "verify", "--map", "lsv:0.8", "--obs",
+                            "1e-7*y", *FAST)
+    assert code == 5
+    assert payload["verdict"] is False
+    assert payload["verdict"] == all(t["verdict"] for t in payload["tests"])
+
+
+def test_gordin_command(capsys, tmp_path):
+    out = tmp_path / "rep"
+    code, payload = run_cli(capsys, "gordin", "--map", "doubling", "--obs",
+                            "cos1", "--cells", "1024", "--out", str(out))
+    assert code == 0
+    assert len(payload["eps_schedule"]) == 12
+    assert abs(payload["sigma_mart"] - np.sqrt(0.5)) < 1e-3
+    csv = np.loadtxt(out / "martingale_part.csv", delimiter=",", skiprows=1)
+    assert csv.shape == (1024, 2)
+
+
 def test_verify_variance_growth_matches_sigma(capsys):
     argv = ["--map", "doubling", "--obs", "cos1", *FAST]
     _, sigma = run_cli(capsys, "sigma", *argv)
@@ -284,12 +304,20 @@ def test_constant_observable_on_an_ulam_map(capsys, command):
 
 
 @pytest.mark.parametrize("spec,obs", [("doubling", "2*pi"), ("lsv:0.25", "3")])
-def test_solver_breakdown_is_a_convergence_error(capsys, spec, obs):
-    # the constant is centred only to roundoff, so a Krylov scalar of the
-    # Poisson solve vanishes: dot(r0, v) on doubling, rho on lsv
-    code = main(["sigma", "--map", spec, "--obs", obs, *FAST])
-    assert code == 3
-    assert "convergence error: BiCGSTAB broke down" in capsys.readouterr().err
+def test_nonzero_constant_observable_is_centred_exactly(capsys, spec, obs):
+    # a constant is its own mean, so h = 0 exactly; on these inputs its
+    # quadrature mean rounds apart from it, and centring by that mean would
+    # leave a roundoff-level h on which the Poisson solve breaks down
+    code, payload = run_cli(capsys, "sigma", "--map", spec, "--obs", obs,
+                            *FAST)
+    assert code == 0
+    assert payload["green_kubo"]["sigma"] == 0.0
+    code, payload = run_cli(capsys, "verify", "--map", spec, "--obs", obs,
+                            *FAST)
+    assert code == 0
+    assert payload["tests"] == [{"name": "clt_degenerate", "statistic": 0.0,
+                                 "threshold": 0.0, "verdict": True}]
+    assert payload["coboundary"]["verdict"] == "true"
 
 
 @pytest.mark.parametrize("command", ["clt", "fclt"])

@@ -160,3 +160,12 @@ def test_forced_backend_must_match_the_measure(cheb2):
     assert np.all(norm_decay_sequence(cheb2, nu, h, 2, 8) < 1e-12)
     with pytest.raises(InvalidInputError):
         norm_decay_sequence(cheb2, nu, h, 2, 8, backend="ulam")
+
+
+def test_short_decay_report_raises_before_sweeping(doubling, doubling_nu):
+    h = build_observable("cos1", doubling, doubling_nu).grid_function
+    op = make_backend(doubling, doubling_nu)
+    cached = list(op.memo)
+    with pytest.raises(PreconditionError):
+        decay_report(doubling, doubling_nu, h, n_max=10)
+    assert list(op.memo) == cached

@@ -5,6 +5,7 @@ import pytest
 
 from ergolab import (
     GridFunction,
+    MeasureDensity,
     build_observable,
     coboundary_detect,
     decay_report,
@@ -15,7 +16,8 @@ from ergolab import (
     sigma_green_kubo,
     transfer,
 )
-from ergolab.errors import ConvergenceError, PreconditionError
+from ergolab.errors import (ConvergenceError, InvalidInputError,
+                            PreconditionError)
 from ergolab.gordin import _solve_resolvent, solve_poisson
 
 
@@ -84,7 +86,8 @@ def test_resolvent_matches_series(lsv25, lsv25_1024, eps):
     f_eps = h.with_values(_resolvent(lsv25, nu, h, eps, tail_tol=tail_tol))
     series = h.with_values(
         _series_resolvent(make_backend(lsv25, nu), h, eps, tail_tol))
-    assert lp_norm(f_eps - series, 2) <= 1e-8 * lp_norm(series, 2)
+    assert (lp_norm(f_eps.with_values(f_eps.values - series.values), 2)
+            <= 1e-8 * lp_norm(series, 2))
 
 
 def test_gordin_unreachable_tolerance_is_convergence_error(lsv25, lsv25_1024):
@@ -239,3 +242,16 @@ def test_shared_sweep_and_poisson_solution_are_read_only(lsv25, lsv25_1024):
     with pytest.raises(ValueError):
         solve_poisson(op, h.values)[0][0] = 0.0
     assert np.array_equal(solve_poisson(op, h.values)[0], f)
+
+
+@pytest.mark.parametrize("analysis", [decay_report, sigma_green_kubo,
+                                      gordin_decompose, coboundary_detect])
+def test_analyses_reject_a_measure_that_is_not_the_backends(lsv25, analysis):
+    # lsv has no closed-form density, so the backend is the Ulam operator,
+    # whose measure is its stationary vector, not Lebesgue measure; h is
+    # centred under Lebesgue measure only, so no analysis may run
+    grid = lsv25.default_grid(1024)
+    nu = MeasureDensity.from_masses(grid, np.ones(grid.size), "lebesgue")
+    h = GridFunction(grid.nodes - grid.nodes @ nu.masses, nu)
+    with pytest.raises(InvalidInputError):
+        analysis(lsv25, nu, h)

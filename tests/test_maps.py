@@ -9,8 +9,8 @@ from ergolab.errors import ConfigurationError, DomainError
 
 def test_builtin_map_registry():
     assert builtin_map("doubling").name == "doubling"
-    assert builtin_map("lsv", 0.5).label == "lsv:0.5"
-    assert builtin_map("chebyshev", 3).label == "chebyshev:3"
+    assert builtin_map("lsv:0.5").label == "lsv:0.5"
+    assert builtin_map("chebyshev:3").label == "chebyshev:3"
     assert builtin_map("manneville_pomeau:0.5").label == "manneville_pomeau:0.5"
 
 

@@ -9,6 +9,7 @@ import pytest
 
 from ergolab import (
     EnsembleConfig,
+    GridFunction,
     PathEnsemble,
     build_observable,
     builtin_map,
@@ -20,7 +21,8 @@ from ergolab import (
     sigma_variance_growth,
 )
 from ergolab.errors import (
-    ConfigurationError, DomainError, EnsembleRunError, PreconditionError,
+    ConfigurationError, ConvergenceError, DomainError, EnsembleRunError,
+    PreconditionError,
 )
 from ergolab import montecarlo
 from ergolab.montecarlo import (
@@ -466,6 +468,21 @@ def test_green_kubo_requires_centered(doubling, doubling_nu):
         sigma_green_kubo(doubling, doubling_nu, h)
 
 
+@pytest.mark.parametrize("spec,c", [("doubling", 2 * np.pi), ("lsv:0.25", 3.0)],
+                         ids=["doubling-2*pi", "lsv:0.25-3"])
+def test_solver_breakdown_is_a_convergence_error(spec, c):
+    # a constant centred by its quadrature mean, which rounds apart here,
+    # is a roundoff-level h on which a Krylov scalar of the Poisson solve
+    # vanishes: dot(r0, v) on doubling, rho on lsv
+    imap = builtin_map(spec)
+    nu = resolve_measure(imap, imap.default_grid(1024))
+    v = np.full(1024, c)
+    h = GridFunction(v - v @ nu.masses, nu)
+    assert 0 < np.abs(h.values).max() < 1e-14
+    with pytest.raises(ConvergenceError, match="broke down"):
+        sigma_green_kubo(imap, nu, h)
+
+
 def test_variance_growth_doubling():
     m = builtin_map("doubling")
     vg = sigma_variance_growth(
@@ -480,6 +497,13 @@ def test_variance_growth_requires_increasing():
     m = builtin_map("doubling")
     with pytest.raises(PreconditionError):
         sigma_variance_growth(m, lambda y: y, [64, 64], _cfg())
+
+
+def test_variance_growth_schedule_must_end_within_n():
+    # the run keeps cfg.n; a longer schedule is not silently run further
+    m = builtin_map("doubling")
+    with pytest.raises(ConfigurationError, match=r"checkpoints must lie in"):
+        sigma_variance_growth(m, lambda y: y, [64, 512], _cfg(n=256))
 
 
 def test_path_ensemble_scaling():

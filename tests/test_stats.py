@@ -3,7 +3,6 @@ import pytest
 
 from ergolab import (
     EnsembleConfig,
-    LimitTestReport,
     PathEnsemble,
     builtin_map,
     clt_test,
@@ -126,19 +125,3 @@ def test_fclt_test_needs_positive_sigma():
     pe.sigma = 0.0
     with pytest.raises(PreconditionError):
         fclt_test(pe)
-
-
-def test_limit_test_report_shape():
-    rep = LimitTestReport("doubling", "cos1")
-    rep.entries.append({"name": "clt_normal", "statistic": 0.01,
-                        "threshold": 0.02, "verdict": True})
-    rep.sigma = {"green_kubo": 0.707}
-    rep.sigma_used = "green_kubo"
-    assert rep.all_pass
-    d = rep.to_json()
-    assert d["map"] == "doubling"
-    assert d["verdict"] is True
-    assert d["sigma_used"] == "green_kubo"
-    rep.entries.append({"name": "x", "statistic": 1.0, "threshold": 0.0,
-                        "verdict": False})
-    assert not rep.all_pass

@@ -130,7 +130,8 @@ def test_doubling_fourier_cascade(doubling, doubling_nu):
     nodes = doubling_nu.grid.nodes
     c2 = GridFunction(np.cos(4 * np.pi * nodes), doubling_nu)
     c1 = GridFunction(np.cos(2 * np.pi * nodes), doubling_nu)
-    assert lp_norm(transfer_apply(doubling, doubling_nu, c2) - c1, 2) < 1e-6
+    pc2 = transfer_apply(doubling, doubling_nu, c2)
+    assert lp_norm(pc2.with_values(pc2.values - c1.values), 2) < 1e-6
     assert lp_norm(transfer_apply(doubling, doubling_nu, c1), 2) < 1e-7
 
 
@@ -166,7 +167,7 @@ def test_transfer_undoes_koopman(doubling, doubling_nu):
                                    doubling_nu)
     uf = make_backend(doubling, doubling_nu).koopman(f.values)
     puf = transfer_apply(doubling, doubling_nu, f.with_values(uf))
-    assert lp_norm(puf - f, 2) < 5e-3
+    assert lp_norm(puf.with_values(puf.values - f.values), 2) < 5e-3
 
 
 def test_transfer_power_matches_repeated_apply(doubling, doubling_nu):

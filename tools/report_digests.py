@@ -3,18 +3,19 @@ the reports byte-identical.
 
 Usage (from any directory): python3 tools/report_digests.py > digests.txt
 
-It runs every command on eight map/observable pairs at one small seeded
+It runs every command on ten map/observable pairs at one small seeded
 setting, from the checkout that holds this script (``PYTHONPATH=src``),
 each in a fresh temporary directory.  It prints one line per stdout and per
 ``--out`` file, skipping the ``*.meta.json`` timestamp sidecars:
 
     sha256 exit command map obs file
 
-Run it on two checkouts and ``diff`` the outputs.  It prints 197 lines
-and took 41 s on a 2-core Xeon host with Python 3.11.  The pairs cover
-the builtins, declared coboundaries, a constant on an Ulam map
-(``lsv:0.25``/``0``) and a small-scale observable without a CLT
-(``lsv:0.8``/``1e-7*y``), whose decay flags must not depend on the scale.
+Run it on two checkouts and ``diff`` the outputs.  It prints 246 lines
+and took 55 to 59 s on a 2-core Xeon host with Python 3.11.  The pairs cover
+every builtin, declared coboundaries, constants (``lsv:0.25``/``0``, and
+``doubling``/``2*pi``, whose quadrature mean rounds apart from it) and a
+small-scale observable without a CLT (``lsv:0.8``/``1e-7*y``), whose
+decay flags must not depend on the scale.
 """
 
 from __future__ import annotations
@@ -39,6 +40,8 @@ PAIRS = [
     ("lsv:0.25", "coboundary:lip1"),
     ("lsv:0.25", "0"),
     ("lsv:0.8", "1e-7*y"),
+    ("doubling", "cos2"),
+    ("doubling", "2*pi"),
 ]
 SETTING = ["--cells", "1024", "--samples", "5000", "--n", "512",
            "--seed", "11", "--threads", "2", "--m", "16"]
