@@ -16,6 +16,12 @@ which is faster than ``np.where`` on an unpredictable mask.  For y <= 1/2,
 ``2y - 1 > 0`` and ``left(y) * 0 = +0`` because ``left`` is finite on
 [0, 1].  So the maximum is the branch value itself, bit for bit.
 
+The lsv and Manneville-Pomeau forward maps work in place in the one new
+array of ``y**p`` (lsv also makes ``2y - 1``).  Only the operands of
+``+`` and ``*`` swap, which IEEE arithmetic rounds the same, so they equal
+the out-of-place expressions bit for bit.  Augmented assignments on
+``np.asarray(y**p)`` keep scalar and 0-d inputs working.
+
 The domain check is two reductions, ``min(y) >= a`` and ``max(y) <= b``:
 NaN propagates through both and fails the check, and an empty array
 passes.
@@ -154,9 +160,21 @@ def _lsv(gamma: float) -> IntervalMap:
         Branch(0.5, 1.0, lambda y: 2.0 * y - 1.0, lambda x: 0.5 * (x + 1.0),
                lambda y: np.full_like(np.asarray(y, float), 2.0)),
     ]
+
+    def forward(y):
+        # max(2y - 1, left(y) * (y <= 1/2)), with left built in place
+        y = np.asarray(y, dtype=float)
+        u = np.asarray(y**gamma)
+        u *= c
+        u += 1.0
+        u *= y
+        u *= y <= 0.5
+        t = 2.0 * y
+        t -= 1.0
+        return np.maximum(t, u, out=u)
+
     return IntervalMap(
-        name="lsv", domain=(0.0, 1.0), branches=br,
-        forward=lambda y: np.maximum(2.0 * y - 1.0, left(y) * (y <= 0.5)),
+        name="lsv", domain=(0.0, 1.0), branches=br, forward=forward,
         label=f"lsv:{gamma}",
     )
 
@@ -181,10 +199,18 @@ def _manneville_pomeau(gamma: float) -> IntervalMap:
                lambda x: _bisect_inverse(lambda z: raw(z) - 1.0, ystar, 1.0, x),
                deriv),
     ]
+
+    def forward(y):
+        # raw(y) - (y > ystar), built in place
+        y = np.asarray(y, dtype=float)
+        u = np.asarray(y ** (1.0 + gamma))
+        u += y
+        u -= y > ystar
+        return u
+
     return IntervalMap(
         name="manneville_pomeau", domain=(0.0, 1.0), branches=br,
-        forward=lambda y: raw(y) - (y > ystar),
-        label=f"manneville_pomeau:{gamma}",
+        forward=forward, label=f"manneville_pomeau:{gamma}",
     )
 
 

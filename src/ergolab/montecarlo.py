@@ -47,13 +47,23 @@ from its state to a point, and its advance step.  One run records terminal
 sums, FCLT functionals and variance-growth checkpoints together, so
 ``ergolab verify`` simulates its ensemble once.
 
-The occupation time keeps one float accumulator, ``sgn += sign(S)``, and
-ends as ``((n + sgn) / 2) / n``: ``n + sgn`` is twice the number of
-positive steps plus the number of ties, an exact integer, so this equals
-``(positive + ties / 2) / n`` bit for bit, and ties still count half.  A
-point-mode step (and a burn-in step) checks the range of the new points
-by two reductions and skips the escape mask and the clip when every point
-already lies in the domain, where the clip would change nothing.
+The occupation time counts, per orbit, the steps with S > 0 and with
+S < 0 in two uint8 counters, which add the comparisons' bools through
+uint8 views.  Every 255 steps, before a counter can overflow, and at the
+end they are flushed into a float accumulator ``sgn``, the sum of
+sign(S_k), which only ever holds exact integers.  The occupation is
+``((n + sgn) / 2) / n``: ``n + sgn`` is twice the number of positive
+steps plus the number of ties, an exact integer, so this equals
+``(positive + ties / 2) / n`` bit for bit, and ties count half.
+
+A point-mode step checks the domain once.  The start points are checked
+once, since an inverse-CDF sampler may leave the domain; each step then
+calls the map's ``forward``, not ``IntervalMap.__call__`` with its own
+check, and checks the new points by two reductions.  Only when that
+fails do the escape mask and the clip run: the clip puts every point
+back in the domain for the next step, and a NaN, which no clip mends,
+raises ``DomainError`` at once.  A burn-in step checks and clips the
+same way.
 
 FCLT path functionals (sup, occupation fraction) are computed from the
 full n-step prefix-sum resolution rather than from the coarse m-point
@@ -73,7 +83,9 @@ from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigurationError, EnsembleRunError, PreconditionError
+from .errors import (
+    ConfigurationError, DomainError, EnsembleRunError, PreconditionError,
+)
 from .function_space import GridFunction, MeasureDensity
 from .gordin import solve_poisson
 from .maps import _ESCAPE_TOL, IntervalMap, _inside
@@ -92,6 +104,7 @@ __all__ = [
 _MAX_DROP_FRACTION = 1e-3
 BATCH_SIZE = 4096  # the batch layout keys the random streams (see _batches)
 MIN_BURNIN = 1000
+_FLUSH = 255  # steps that a uint8 occupation counter holds before a flush
 
 _FORK = "fork" in multiprocessing.get_all_start_methods()
 _WORK = None  # (imap, h, cfg, mode, cp) of the running pool, see run_ensemble
@@ -182,13 +195,24 @@ def _start(imap: IntervalMap, cfg: EnsembleConfig, mode: str, streams):
     a, b = imap.domain
     u = _draw(streams, lambda rng, size: rng.random(size))
     if mode == "inverse-cdf":
-        return np.asarray(imap.sampler(u), dtype=float)
-    y = a + (b - a) * u
-    for _ in range(cfg.burnin):
-        y = imap(y)
+        y, burnin = np.asarray(imap.sampler(u), dtype=float), 0
+    else:
+        y, burnin = a + (b - a) * u, cfg.burnin
+    if not _inside(y, a, b):
+        raise DomainError("point outside the map domain")
+    for _ in range(burnin):
+        y = imap.forward(y)
         if not _inside(y, a, b):
+            _check_nan(y)
             np.clip(y, a, b, out=y)
     return y
+
+
+def _check_nan(y: np.ndarray):
+    """Raise DomainError if a step left a NaN in ``y``: the clip that
+    follows a failed range check keeps NaN, so the orbit cannot go on."""
+    if np.isnan(y).any():
+        raise DomainError("point outside the map domain")
 
 
 def _stepper(imap: IntervalMap, mode: str):
@@ -197,9 +221,9 @@ def _stepper(imap: IntervalMap, mode: str):
     The bit queue maps a 64-bit word to its point in [0, 1) and advances
     by shifting in the top bit of a fresh random word, one word per orbit
     drawn from each batch's stream every 64 steps.  Every other mode holds
-    points (already clipped to the domain) and advances by the map; an
-    orbit that escapes the domain is parked at the midpoint and marked
-    dead in ``alive``.
+    points (already clipped to the domain) and advances by the map's
+    ``forward``; an orbit that escapes the domain is parked at the midpoint
+    and marked dead in ``alive``, and a NaN raises ``DomainError``.
     """
     if mode == "bit-queue":
         one, top = np.uint64(1), np.uint64(63)
@@ -220,9 +244,10 @@ def _stepper(imap: IntervalMap, mode: str):
     a, b = imap.domain
 
     def advance(y, streams, alive):
-        y = imap(y)
+        y = imap.forward(y)
         if _inside(y, a, b):
             return y
+        _check_nan(y)
         escaped = (y < a - _ESCAPE_TOL) | (y > b + _ESCAPE_TOL)
         if np.any(escaped):
             alive &= ~escaped
@@ -245,16 +270,31 @@ def _run_group(imap, h, cfg, mode, cp, group):
     S = np.zeros(size)
     sup = np.zeros(size)
     sgn = np.zeros(size)
+    # steps with S > 0 and with S < 0 since the last flush into sgn, counted
+    # by adding the comparisons' bools through uint8 views
+    above, below = np.empty(size, dtype=bool), np.empty(size, dtype=bool)
+    above8, below8 = above.view(np.uint8), below.view(np.uint8)
+    n_above, n_below = np.zeros(size, np.uint8), np.zeros(size, np.uint8)
     cps = np.empty((size, len(cp))) if cp else None
     cp_pos = {v: i for i, v in enumerate(cp)}
     for j in range(n):
         S += h(point(state))
         np.maximum(sup, S, out=sup)
-        sgn += np.sign(S)
+        np.greater(S, 0.0, out=above)
+        n_above += above8
+        np.less(S, 0.0, out=below)
+        n_below += below8
+        if (j + 1) % _FLUSH == 0 or j + 1 == n:
+            sgn += n_above
+            sgn -= n_below
+            n_above[:] = 0
+            n_below[:] = 0
         if (j + 1) in cp_pos:
             cps[:, cp_pos[j + 1]] = S
         if j + 1 < n:
             state = advance(state, streams, alive)
+    # a sum that turns NaN stays NaN, and sum(sign(S_k)) is NaN with it
+    sgn[np.isnan(S)] = np.nan
     arrays = (S, sup, sgn, cps)
     dropped = int(size - alive.sum())
     if dropped:

@@ -9,11 +9,14 @@ An observable spec is one of
   ``cos(2*pi*y)`` and ``cos2`` for ``cos(4*pi*y)``;
 * ``coboundary:SPEC`` for g o T - g where g is itself a spec.
 
-Every observable is centered against the quadrature mean of the supplied
-invariant measure; the same constant shifts both the grid samples used by
-the operator machinery and the pointwise callable used by the Monte Carlo
-engines, so the two views agree.  A constant observable is centred by its
-own value, so that both views are exactly 0.
+Every observable is centered twice.  The grid samples used by the
+operator machinery are shifted by their quadrature mean against the
+supplied invariant measure (``mean``).  The pointwise callable used by
+the Monte Carlo engines is shifted by ``mc_mean``: the same constant for
+a closed-form measure, but for an Ulam measure the limit of the
+quadrature means extrapolated over grid sizes N/4, N/2 and N, so there
+the two centring constants differ (see ``Observable``).  A constant
+observable is centred by its own value, so that both views are exactly 0.
 """
 
 from __future__ import annotations

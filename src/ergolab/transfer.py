@@ -122,11 +122,13 @@ class UlamTransferOperator:
         self.imap = imap
         self.grid = grid
         self.matrix = ulam_matrix(imap, grid)
-        self.p = stationary_vector(self.matrix)
+        self._mt = self.matrix.T.tocsr()
+        # _mt.T is the matrix as a CSC view of _mt's arrays, whose transpose
+        # in stationary_vector is _mt itself: the matrix is transposed once
+        self.p = stationary_vector(self._mt.T)
         self.measure = MeasureDensity.from_masses(
             grid, self.p, name=f"{imap.label}-ulam-{grid.size}"
         )
-        self._mt = self.matrix.T.tocsr()
         self.memo = OrderedDict()
 
     def apply(self, values: np.ndarray) -> np.ndarray:
@@ -176,7 +178,9 @@ STATIONARY_MAX_ITER = 100_000
 
 
 def stationary_vector(matrix: csr_matrix) -> np.ndarray:
-    """Left fixed vector of the Ulam matrix by plain power iteration."""
+    """Left fixed vector of the Ulam matrix by plain power iteration.  A
+    CSR ``matrix`` is transposed into a new CSR matrix; a CSC one is
+    transposed as a view of its own arrays."""
     n = matrix.shape[0]
     mt = matrix.T.tocsr()
     p = np.full(n, 1.0 / n)

@@ -155,7 +155,12 @@ def test_forward_map_equals_branch_rule(spec, rng):
                            np.nextafter(ends, np.inf)])
     y = np.concatenate([rng.uniform(a, b, size=4096),
                         near[(near >= a) & (near <= b)]])
+    y0 = y.copy()
     assert np.array_equal(m(y), _branch_rule(m, y))
+    # the forward map leaves its input alone, and takes 0-d arrays
+    assert np.array_equal(y, y0)
+    for v in y[:8]:
+        assert m.forward(np.asarray(v)) == _branch_rule(m, np.array([v]))[0]
     for bad in (np.nan, np.nextafter(a, -np.inf), np.nextafter(b, np.inf)):
         with pytest.raises(DomainError):
             m(np.array([0.5 * (a + b), bad]))

@@ -189,12 +189,17 @@ def test_bit_queue_word_stream(threads):
     assert np.array_equal(run.S, sum(_word_stream_points(cfg)))
 
 
-@pytest.mark.parametrize("threads", [1, 3])
-def test_occupation_counts_exact_ties_half(threads):
+# n = 600 crosses two 255-step flushes of the uint8 occupation counters
+@pytest.mark.parametrize("threads,n,tie_steps", [
+    pytest.param(1, 130, 20, id="1"), pytest.param(3, 130, 20, id="3"),
+    pytest.param(1, 600, 40, id="1-n600"), pytest.param(3, 600, 40, id="3-n600"),
+])
+def test_occupation_counts_exact_ties_half(threads, n, tie_steps):
     # h = +-1 makes every S_k an integer, exactly 0 at about one step in
-    # sixteen; the sign accumulator must give (pos + ties / 2) / n exactly
+    # sixteen at n = 130 and one in thirty-three at n = 600; the occupation
+    # counters must give (pos + ties / 2) / n exactly
     h = lambda y: np.where(y < 0.5, 1.0, -1.0)
-    cfg = _cfg(samples=9000, n=130, threads=threads)
+    cfg = _cfg(samples=9000, n=n, threads=threads)
     run = run_ensemble(builtin_map("doubling"), h, cfg)
     S = np.zeros(cfg.samples)
     pos = np.zeros(cfg.samples, dtype=np.int64)
@@ -203,9 +208,18 @@ def test_occupation_counts_exact_ties_half(threads):
         S += h(y)
         pos += S > 0
         ties += S == 0
-    assert ties.sum() > cfg.samples * cfg.n // 20
+    assert ties.sum() > cfg.samples * cfg.n // tie_steps
     assert np.array_equal(run.S, S)
     assert np.array_equal(run.occupation, (pos + 0.5 * ties) / cfg.n)
+
+
+def test_nan_sum_gives_nan_occupation():
+    # a NaN sum stays NaN, and its occupation is NaN, as sign(NaN) made it
+    h = lambda y: np.where(y < 0.05, np.nan, y - 0.5)
+    run = run_ensemble(builtin_map("doubling"), h, _cfg(samples=200, n=8))
+    nan = np.isnan(run.S)
+    assert nan.any() and not nan.all()
+    assert np.array_equal(np.isnan(run.occupation), nan)
 
 
 def _overshooting(imap, step, overshoot):
@@ -323,8 +337,27 @@ def test_drops_from_several_groups_are_summed():
         run_ensemble(_escaping_per_group(m, 5), h, cfg)
 
 
+def test_nan_at_the_last_step_raises():
+    # the forward map's call MIN_BURNIN + n - 1 makes the last step, after
+    # which no map call follows: its NaN must still fail the step's check
+    m = builtin_map("lsv:0.25")
+    cfg = _cfg(samples=200, n=50)
+    bad, _ = _overshooting(m, MIN_BURNIN + cfg.n - 1, {0: np.nan})
+    with pytest.raises(DomainError, match="outside the map domain"):
+        run_ensemble(bad, lambda y: y, cfg)
+
+
+@pytest.mark.parametrize("n", [1, 8])
+def test_inverse_cdf_start_outside_the_domain_raises(n):
+    # the start points are checked once, before any step: n = 1 takes none
+    m = builtin_map("chebyshev:2")
+    wide = dataclasses.replace(m, sampler=lambda u: 1.5 * m.sampler(u))
+    with pytest.raises(DomainError, match="outside the map domain"):
+        run_ensemble(wide, lambda y: y, _cfg(samples=200, n=n))
+
+
 def test_typed_error_in_a_worker_reaches_the_caller():
-    # a forward map that returns NaN fails the domain check of the next call
+    # a forward map that returns NaN fails the domain check of its step
     m = builtin_map("lsv:0.25")
     nan = dataclasses.replace(m, forward=lambda y: np.full(y.shape, np.nan))
     with pytest.raises(DomainError):

@@ -14,7 +14,7 @@ from ergolab import (
     ulam_matrix,
 )
 from ergolab.errors import InvalidInputError
-from ergolab.transfer import stationary_vector
+from ergolab.transfer import UlamTransferOperator, stationary_vector
 
 
 def _graded(n):
@@ -60,6 +60,16 @@ def test_stationary_vector_doubling_uniform():
     u = ulam_matrix(m, m.default_grid(64))
     p = stationary_vector(u)
     assert np.allclose(p, 1.0 / 64, atol=1e-10)
+
+
+def test_ulam_operator_reuses_its_transpose():
+    # the operator's stationary vector comes from the transpose it applies
+    # with, and equals the public function's bit for bit
+    m = builtin_map("lsv:0.25")
+    op = UlamTransferOperator(m, m.default_grid(1024))
+    # stationary_vector's transpose of the CSC view copies nothing
+    assert np.shares_memory(op._mt.T.T.tocsr().data, op._mt.data)
+    assert op.p.tobytes() == stationary_vector(op.matrix).tobytes()
 
 
 def test_ulam_on_graded_cells_keeps_lebesgue_for_doubling():

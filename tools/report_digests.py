@@ -11,7 +11,7 @@ each in a fresh temporary directory.  It prints one line per stdout and per
     sha256 exit command map obs file
 
 Run it on two checkouts and ``diff`` the outputs.  It prints 246 lines
-and took 55 to 59 s on a 2-core Xeon host with Python 3.11.  The pairs cover
+and took 49 to 53 s on a 2-core Xeon host with Python 3.11.  The pairs cover
 every builtin, declared coboundaries, constants (``lsv:0.25``/``0``, and
 ``doubling``/``2*pi``, whose quadrature mean rounds apart from it) and a
 small-scale observable without a CLT (``lsv:0.8``/``1e-7*y``), whose
