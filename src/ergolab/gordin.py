@@ -1,21 +1,27 @@
 """Resolvent-based martingale decomposition and coboundary detection.
 
 The decomposition writes a centered observable h as a martingale part plus
-a small remainder: f_e solves ((1+e)I - P) f_e = h (BiCGSTAB in L2(nu); a
-residual below e * tail_tol keeps f_e within tail_tol, as P is an L2(nu)
+a small remainder: f_e solves ((1+e)I - P) f_e = h in L2(nu) (a residual
+below e * tail_tol keeps f_e within tail_tol, as P is an L2(nu)
 contraction), and h_e = f_e - U P f_e satisfies P h_e = 0.  Driving e -> 0
-along the dyadic schedule 2^-k, each solve warm-started from the last,
-yields the martingale part h-tilde; the Cauchy increments ||h_e - h_d||_2
-are checked against the bound (e+d)(||f_e||^2 + ||f_d||^2), which must
-never be violated.
+along the dyadic schedule 2^-k yields the martingale part h-tilde; the
+Cauchy increments ||h_e - h_d||_2 are checked against the bound
+(e+d)(||f_e||^2 + ||f_d||^2), which must never be violated.
 
-Coboundary detection solves the Poisson equation (I - P) f-tilde = h, the
-resolvent at e = 0 (centred h lies in the range of I - P), and takes the
-transfer function f = P f-tilde, so that h = f o T - f up to the martingale
-part.  The finite operator always has a solution, so a small algebraic
-residual ||U f - f - h||_2 flags sigma = 0 only together with bounded
-Cesaro norms, the sign that sum_k P^k h itself converges.  It shares the
-Poisson solve with ``sigma_green_kubo`` and the sweep with ``decay_report``.
+A shift of the operator does not change its Krylov space, so one
+multi-shift BiCGSTAB run (Frommer, Computing 70, 2003) solves the whole
+schedule and the Poisson equation (I - P) f = h, the resolvent at e = 0,
+with the two applications of P per step of its seed, the smallest shift.
+For each observable the family e = 0, 2^-1 .. 2^-K_MAX is run once and
+kept in ``transfer._memo``: ``sigma_green_kubo``, coboundary detection and
+the decomposition read it in any order.
+
+Coboundary detection takes the Poisson solution f-tilde (centred h lies in
+the range of I - P) and the transfer function f = P f-tilde, so that
+h = f o T - f up to the martingale part.  The finite operator always has a
+solution, so a small algebraic residual ||U f - f - h||_2 flags sigma = 0
+only together with bounded Cesaro norms, the sign that sum_k P^k h itself
+converges.  It shares the sweep with ``decay_report``.
 """
 
 from __future__ import annotations
@@ -39,72 +45,158 @@ __all__ = [
 ]
 
 K_MAX = 12  # the dyadic schedule eps_k = 2^-k runs over k = 1..K_MAX
-MAX_ITERATIONS = 1000  # BiCGSTAB steps (two applications of P each) per solve
+EPS_SCHEDULE = tuple(2.0**-k for k in range(1, K_MAX + 1))
+MAX_ITERATIONS = 1000  # BiCGSTAB steps (two applications of P each) per run
 POISSON_TOL = 1e-10  # Poisson residual, relative to ||h||_2
+TAIL_TOL = 1e-6  # the default tail_tol, relative to ||h||_2
 COBOUNDARY_TOL = 1e-3  # residual below which h is an algebraic coboundary
 
 
-def _solve_resolvent(op, h: np.ndarray, eps: float, x: np.ndarray,
-                     tol: float) -> tuple:
-    """BiCGSTAB for ((1+eps)I - P) x = h in L2(nu), from the guess x, until
-    the recomputed residual ||h - ((1+eps)x - P x)||_2 is at most tol;
-    returns x and that residual."""
+def _ratio(num, den):
+    """num / den for Krylov scalars, floats or arrays; a zero denominator
+    or any other non-finite quotient is a breakdown."""
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        q = np.divide(num, den)
+    if not np.all(np.isfinite(q)):
+        raise ConvergenceError("multi-shift BiCGSTAB broke down")
+    return q
+
+
+def _shifted_bicgstab(op, h: np.ndarray, shifts, tols) -> np.ndarray:
+    """One multi-shift BiCGSTAB run for ((1+e)I - P) x_e = h in L2(nu), e in
+    ``shifts``, from zero starts; returns the x_e as rows of one array.
+
+    The seed, the smallest shift, runs plain BiCGSTAB.  The residual of
+    shift e is the seed's divided by zeta * tau, scalars that follow from
+    the seed's: zeta continues the BiCG residual polynomial to e, and tau
+    the stabilising one.  So the seed's two applications of P per step are
+    the only ones.  A shift is dropped once the norm of its updated
+    residual is at most its tol."""
     masses = op.measure.masses
+    seed = min(shifts)
+    sigma = np.asarray(shifts, dtype=float) - seed
+    tols = np.asarray(tols, dtype=float)
+    x = np.zeros((sigma.size, h.size))
 
     def dot(u, v):
         return float((u * v) @ masses)
 
-    def shifted(v):
-        return (1.0 + eps) * v - op.apply(v)
+    def seed_matvec(v):
+        return (1.0 + seed) * v - op.apply(v)
 
-    def ratio(num, den):
-        if den == 0.0:
-            raise ConvergenceError(f"BiCGSTAB broke down at eps={eps:g}")
-        return num / den
-
-    x = x.copy()
-    restart = True
+    live = np.flatnonzero(np.sqrt(dot(h, h)) > tols)
+    # per live shift: the direction p^e, and the scalars zeta_(k-1), zeta_k
+    # and tau_k; the iterate x^e is its row of x
+    ps = [h.astype(float) for _ in live]
+    zeta_old, zeta, tau = np.ones((3, live.size))
+    # the seed's s_k, r_(k+1) and r_k live in rows of basis; row 0 takes p^e
+    basis = np.empty((4, h.size))
+    s, r_new, r = basis[1:]
+    r[:] = h
+    p, rho = h, dot(h, h)
+    alpha_old, beta_old = 1.0, 0.0
     for _ in range(MAX_ITERATIONS):
-        if restart:  # from the recomputed residual; the updated one drifts
-            r = h - shifted(x)
-            residual = weighted_norm(r, masses)
-            if residual <= tol:
-                return x, residual
-            r0, p, rho = r, r, dot(r, r)
-        else:
-            rho_next = dot(r0, r)
-            beta = ratio(rho_next, rho) * ratio(alpha, omega)
-            p = r + beta * (p - omega * v)
-            rho = rho_next
-        v = shifted(p)
-        alpha = ratio(rho, dot(r0, v))
-        s = r - alpha * v
-        if weighted_norm(s, masses) <= tol:  # converged at the half step
-            x += alpha * p
-            restart = True
-            continue
-        t = shifted(s)
-        omega = ratio(dot(t, s), dot(t, t))
-        if not (np.isfinite(alpha) and np.isfinite(omega)):
-            raise ConvergenceError(f"BiCGSTAB broke down at eps={eps:g}")
-        x += alpha * p + omega * s
-        r = s - omega * t
-        restart = weighted_norm(r, masses) <= tol
+        sig, tol = sigma[live], tols[live]
+        v = seed_matvec(p)
+        alpha = _ratio(rho, dot(h, v))
+        np.subtract(r, alpha * v, out=s)
+        zeta_new = (zeta * (1.0 + alpha * sig)
+                    + _ratio(alpha * beta_old, alpha_old) * (zeta - zeta_old))
+        alpha_s = _ratio(alpha * zeta, zeta_new)
+        s_scale = _ratio(1.0, zeta_new * tau)  # s^e = s_scale * s
+        half = np.sqrt(dot(s, s)) * np.abs(s_scale) <= tol
+        for i in np.flatnonzero(half):  # converged at the half step
+            x[live[i]] += alpha_s[i] * ps[i]
+        if half.all():
+            return x
+        t = seed_matvec(s)
+        omega = _ratio(dot(t, s), dot(t, t))
+        np.subtract(s, omega * t, out=r_new)
+        rho_new = dot(h, r_new)
+        beta = _ratio(rho_new, rho) * _ratio(alpha, omega)
+        omega_s = _ratio(omega, 1.0 + omega * sig)
+        tau_new = tau * (1.0 + omega * sig)
+        r_scale = _ratio(1.0, zeta_new * tau_new)  # r^e_(k+1) = r_scale * r_new
+        full = ~half & (np.sqrt(dot(r_new, r_new)) * np.abs(r_scale) <= tol)
+        # x^e += alpha^e p^e + omega^e s^e, and
+        # p^e <- r^e_(k+1) + beta^e (p^e - (omega^e / alpha^e)(r^e_k - s^e)),
+        # as combinations of the rows of basis
+        beta_s = beta * (zeta / zeta_new) ** 2
+        g = beta_s * omega_s / alpha_s
+        x_coef = np.column_stack([alpha_s, omega_s * s_scale])
+        p_coef = np.column_stack([beta_s, g * s_scale, r_scale,
+                                  -g / (zeta * tau)])
+        for i in np.flatnonzero(~half):
+            basis[0] = ps[i]
+            x[live[i]] += x_coef[i] @ basis[:2]
+            if not full[i]:
+                np.matmul(p_coef[i], basis, out=ps[i])
+        keep = ~(half | full)
+        live, ps = live[keep], [q for q, k in zip(ps, keep) if k]
+        zeta_old, zeta, tau = zeta[keep], zeta_new[keep], tau_new[keep]
+        if not live.size:
+            return x
+        p = r_new + beta * (p - omega * v)
+        r[:] = r_new
+        rho, alpha_old, beta_old = rho_new, alpha, beta
     raise ConvergenceError(
-        f"resolvent solve missed residual {tol:g} at eps={eps:g} "
-        f"within {MAX_ITERATIONS} iterations"
+        f"multi-shift BiCGSTAB missed the residual bounds at eps="
+        f"{', '.join(f'{shifts[i]:g}' for i in live)} within "
+        f"{MAX_ITERATIONS} iterations"
     )
+
+
+def _solve_shifted(op, h: np.ndarray, shifts, tols) -> tuple:
+    """f_e with ((1+e)I - P) f_e = h in L2(nu) for each e in ``shifts``, to
+    the residual bound at the same place in ``tols``; returns the f_e as
+    rows of one array and their recomputed residuals.  One multi-shift run
+    solves them all; a system whose recomputed residual misses its bound,
+    as the updated one drifts, is refined by a one-shift run on its true
+    residual, and one that still misses raises ConvergenceError."""
+    masses = op.measure.masses
+    tols = np.asarray(tols, dtype=float)
+    h_norm = weighted_norm(h, masses)
+    if np.all(h_norm <= tols):
+        return np.zeros((tols.size, h.size)), np.full(tols.size, h_norm)
+    x = _shifted_bicgstab(op, h, shifts, tols)
+
+    def residual(i):
+        r = h - ((1.0 + shifts[i]) * x[i] - op.apply(x[i]))
+        return r, weighted_norm(r, masses)
+
+    residuals = np.empty(tols.size)
+    for i, tol in enumerate(tols):
+        r, residuals[i] = residual(i)
+        if residuals[i] > tol:
+            x[i] += _shifted_bicgstab(op, r, [shifts[i]], [tol])[0]
+            r, residuals[i] = residual(i)
+            if residuals[i] > tol:
+                raise ConvergenceError(
+                    f"resolvent solve missed residual {tol:g} at "
+                    f"eps={shifts[i]:g} after refinement")
+    return x, residuals
+
+
+def _resolvents(op, h: np.ndarray) -> tuple:
+    """The default family e = 0, then EPS_SCHEDULE, solved once per
+    operator and h (``transfer._memo``) to the bounds POISSON_TOL * ||h||_2
+    at e = 0 and 2^-K_MAX times the default tail_tol for every e > 0;
+    returns the read-only f_e as rows of one array and their residuals."""
+    def solve():
+        h_norm = weighted_norm(h, op.measure.masses)
+        tail = EPS_SCHEDULE[-1] * TAIL_TOL * max(h_norm, 1e-30)
+        return _solve_shifted(op, h, (0.0, *EPS_SCHEDULE),
+                              [POISSON_TOL * h_norm] + [tail] * K_MAX)
+
+    return _memo(op, ("resolvents",), h, solve)
 
 
 def solve_poisson(op, h: np.ndarray) -> tuple:
     """f with (I - P) f = h for centred h, from a zero start, to residual
-    POISSON_TOL * ||h||_2; returns f and the recomputed residual.  Solved
-    once per operator and h (``transfer._memo``); f is read-only."""
-    def solve():
-        tol = POISSON_TOL * weighted_norm(h, op.measure.masses)
-        return _solve_resolvent(op, h, 0.0, np.zeros_like(h), tol)
-
-    return _memo(op, ("poisson",), h, solve)
+    POISSON_TOL * ||h||_2; returns f and the recomputed residual.  It is the
+    e = 0 entry of the shared resolvent family, so f is read-only."""
+    f, residuals = _resolvents(op, h)
+    return f[0], float(residuals[0])
 
 
 @dataclass
@@ -117,6 +209,7 @@ class GordinDecomposition:
     cauchy_slacks: List[float]
     sigma_mart: float
     resolvent_residuals: List[float]
+    resolvent_norms: List[float]
     warnings: List[str] = field(default_factory=list)
 
     def to_json(self) -> dict:
@@ -127,6 +220,7 @@ class GordinDecomposition:
             "cauchy_history": list(self.cauchy_history),
             "cauchy_bound_slacks": list(self.cauchy_slacks),
             "resolvent_residuals": list(self.resolvent_residuals),
+            "resolvent_norms": list(self.resolvent_norms),
             "warnings": list(self.warnings),
         }
 
@@ -134,28 +228,30 @@ class GordinDecomposition:
 def gordin_decompose(imap: IntervalMap, nu: MeasureDensity, h: GridFunction,
                      tail_tol: Optional[float] = None) -> GordinDecomposition:
     """Run the dyadic schedule eps_k = 2^-k, k = 1..K_MAX, and collect the
-    martingale part estimate h-tilde = h_{eps_(K_MAX)}."""
+    martingale part estimate h-tilde = h_{eps_(K_MAX)}.  The default
+    tail_tol, TAIL_TOL * ||h||_2, reads the shared resolvent family; any
+    other value runs its own."""
     op = _backend_for(imap, nu, h)
     masses = nu.masses
+    eps_list = list(EPS_SCHEDULE)
     if tail_tol is None:
-        tail_tol = 1e-6 * max(weighted_norm(h.values, masses), 1e-30)
-    eps_list = [2.0**-k for k in range(1, K_MAX + 1)]
-    f = np.zeros_like(h.values)
-    h_parts, f_norms, res_residuals = [], [], []
-    for e in eps_list:
+        f_all, residuals = (a[1:] for a in _resolvents(op, h.values))
+    else:
         # one residual for all e bounds every ||f - f_e||_2 by tail_tol
-        f, residual = _solve_resolvent(op, h.values, e, f,
-                                       eps_list[-1] * tail_tol)
-        h_parts.append(f - op.koopman(op.apply(f)))
-        f_norms.append(weighted_norm(f, masses))
-        res_residuals.append(residual)
+        f_all, residuals = _solve_shifted(op, h.values, eps_list,
+                                          [eps_list[-1] * tail_tol] * K_MAX)
 
-    cauchy, slacks = [], []
-    for k in range(1, len(eps_list)):
-        d, e = eps_list[k - 1], eps_list[k]
-        diff = weighted_norm(h_parts[k] - h_parts[k - 1], masses)
-        cauchy.append(diff)
-        slacks.append((e + d) * (f_norms[k] ** 2 + f_norms[k - 1] ** 2) - diff**2)
+    f_norms, cauchy, slacks = [], [], []
+    for k, f in enumerate(f_all):
+        part = f - op.koopman(op.apply(f))
+        f_norms.append(weighted_norm(f, masses))
+        if k:
+            d, e = eps_list[k - 1], eps_list[k]
+            diff = weighted_norm(part - h_part, masses)
+            cauchy.append(diff)
+            slacks.append((e + d) * (f_norms[k] ** 2 + f_norms[k - 1] ** 2)
+                          - diff**2)
+        h_part = part
 
     warnings = []
     for k in range(1, len(cauchy)):
@@ -166,16 +262,17 @@ def gordin_decompose(imap: IntervalMap, nu: MeasureDensity, h: GridFunction,
             )
             break
 
-    h_tilde = h.with_values(h_parts[-1])
+    h_tilde = h.with_values(h_part)
     return GordinDecomposition(
         eps_schedule=eps_list,
-        f_eps=h.with_values(f),
+        f_eps=h.with_values(f_all[-1].copy()),
         h_tilde=h_tilde,
         martingale_residual=weighted_norm(op.apply(h_tilde.values), masses),
         cauchy_history=cauchy,
         cauchy_slacks=slacks,
         sigma_mart=weighted_norm(h_tilde.values, masses),
-        resolvent_residuals=res_residuals,
+        resolvent_residuals=[float(r) for r in residuals],
+        resolvent_norms=f_norms,
         warnings=warnings,
     )
 

@@ -18,7 +18,7 @@ Two interchangeable backends realize the transfer operator:
   closed-form invariant density.
 
 One bounded LRU keyed on content caches the operators of both backends,
-and each operator keeps a bounded ``memo`` of sweeps and Poisson solutions.
+and each operator keeps a bounded ``memo`` of sweeps and resolvent families.
 """
 
 from __future__ import annotations
@@ -222,8 +222,8 @@ def _digest(*arrays) -> str:
 def _memo(op, key: tuple, values: np.ndarray, build):
     """``build()`` once per ``key`` and content of ``values``, kept in the
     bounded store ``op.memo``, so that the statistics of one observable
-    share its sweep of P^k h and its Poisson solution; every caller gets
-    the same arrays, so they are read-only."""
+    share its sweep of P^k h and its resolvents; every caller gets the
+    same arrays, so they are read-only."""
     out = _cached(op.memo, (*key, _digest(values)), build)
     for arr in out:
         if isinstance(arr, np.ndarray):

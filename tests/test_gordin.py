@@ -2,13 +2,18 @@ from collections import OrderedDict
 
 import numpy as np
 import pytest
+from scipy.sparse import csc_matrix, identity
+from scipy.sparse.linalg import spsolve
 
 from ergolab import (
     GridFunction,
     MeasureDensity,
+    QuadratureGrid,
     build_observable,
+    builtin_map,
     coboundary_detect,
     decay_report,
+    gordin,
     gordin_decompose,
     lp_norm,
     make_backend,
@@ -18,7 +23,7 @@ from ergolab import (
 )
 from ergolab.errors import (ConvergenceError, InvalidInputError,
                             PreconditionError)
-from ergolab.gordin import _solve_resolvent, solve_poisson
+from ergolab.gordin import EPS_SCHEDULE, _solve_shifted, solve_poisson
 
 
 @pytest.fixture(scope="module")
@@ -30,7 +35,7 @@ def lsv25_1024(lsv25):
 @pytest.fixture
 def cold_caches(monkeypatch):
     """An empty operator cache, so the next make_backend builds a new
-    operator with an empty store of sweeps and Poisson solutions."""
+    operator with an empty store of sweeps and resolvents."""
     def clear():
         monkeypatch.setattr(transfer, "_OP_CACHE", OrderedDict())
 
@@ -40,8 +45,7 @@ def cold_caches(monkeypatch):
 def _resolvent(imap, nu, h, eps, tail_tol):
     """f_eps = ((1+eps)I - P)^-1 h to within tail_tol in L2(nu)."""
     op = make_backend(imap, nu)
-    zeros = np.zeros_like(h.values)
-    return _solve_resolvent(op, h.values, eps, zeros, eps * tail_tol)[0]
+    return _solve_shifted(op, h.values, [eps], [eps * tail_tol])[0][0]
 
 
 def _series_resolvent(op, h, eps, tol):
@@ -132,6 +136,101 @@ def test_gordin_decompose_lsv(lsv25, lsv25_nu):
     d = gd.to_json()
     assert len(d["cauchy_history"]) == 11
     assert len(d["cauchy_bound_slacks"]) == 11
+    # ||f_e||_2 along the schedule, the raw input of a resolvent-growth fit
+    assert len(d["resolvent_norms"]) == 12
+    assert d["resolvent_norms"][-1] == pytest.approx(lp_norm(gd.f_eps, 2),
+                                                     rel=1e-12)
+
+
+@pytest.mark.parametrize("spec,obs", [("lsv:0.25", "lip1"),
+                                      ("doubling", "cos1")],
+                         ids=["ulam", "branch"])
+def test_shifted_run_matches_sparse_direct_solves(spec, obs):
+    imap = builtin_map(spec)
+    nu = resolve_measure(imap, imap.default_grid(512))
+    h = build_observable(obs, imap, nu).grid_function
+    op = make_backend(imap, nu)
+    assert op.kind == ("ulam" if spec.startswith("lsv") else "branch")
+    shifts = (0.0, *EPS_SCHEDULE)
+    f, _ = _solve_shifted(op, h.values, shifts,
+                          [1e-13 * lp_norm(h, 2)] * len(shifts))
+    eye = identity(h.values.size)
+    p = np.column_stack([op.apply(e) for e in np.eye(h.values.size)])
+
+    def rel_l2(a, b):
+        return lp_norm(h.with_values(a - b), 2) / lp_norm(h.with_values(b), 2)
+
+    for eps, f_eps in zip(shifts[1:], f[1:]):
+        direct = spsolve(csc_matrix((1.0 + eps) * eye - p), h.values)
+        assert rel_l2(f_eps, direct) <= 1e-8
+    # I - P is singular on constants; bordering it with the nu-mean gives
+    # the centred solution of the Poisson equation
+    masses = nu.masses
+    direct = spsolve(csc_matrix(eye - p + np.outer(np.ones_like(masses),
+                                                   masses)), h.values)
+    assert abs(direct @ masses) < 1e-12
+    assert rel_l2(f[0] - f[0] @ masses, direct) <= 1e-8
+
+
+def test_one_krylov_run_per_observable(lsv25, lsv25_1024, cold_caches):
+    # the Poisson equation and the whole schedule come out of one run,
+    # which sigma_green_kubo and gordin_decompose share in either order
+    nu, h = lsv25_1024
+
+    def count_applies(analysis):
+        op = make_backend(lsv25, nu)
+        calls = []
+        op.apply = lambda v, apply=op.apply: calls.append(1) or apply(v)
+        try:
+            result = analysis(lsv25, nu, h)
+        finally:
+            del op.apply
+        return len(calls), result.to_json()
+
+    cold_caches()
+    cold, gd_first = count_applies(gordin_decompose)
+    assert cold < 150
+    assert count_applies(sigma_green_kubo)[0] == 0
+    cold_caches()
+    count_applies(sigma_green_kubo)
+    after_gk, gd_second = count_applies(gordin_decompose)
+    # h_e = f_e - U P f_e for 12 e, and the martingale residual ||P h~||_2
+    assert after_gk <= 13
+    assert gd_first == gd_second
+
+
+def _graded(n, q):
+    """Edges (k/n)^q on [0, 1], graded towards 0, with centred nodes."""
+    edges = np.linspace(0.0, 1.0, n + 1) ** q
+    return QuadratureGrid(edges, 0.5 * (edges[1:] + edges[:-1]))
+
+
+ROBUSTNESS_CASES = (
+    [(f"lsv:{g}", obs, 1) for g in (0.1, 0.25, 0.4, 0.6, 0.8)
+     for obs in ("lip1", "y*(1-y)*y")]
+    + [("lsv:0.6", "y**2 - 0.616842*y", 1), ("doubling", "cos1", 1),
+       ("chebyshev:2", "y", 1), ("manneville_pomeau:0.25", "lip1", 1),
+       ("lsv:0.25", "lip1", 2)])
+
+
+@pytest.mark.parametrize("spec,obs,q", ROBUSTNESS_CASES,
+                         ids=[f"{s}-{o}-q{q}" for s, o, q in ROBUSTNESS_CASES])
+def test_shifted_run_converges_without_refinement(spec, obs, q, monkeypatch,
+                                                  cold_caches):
+    imap = builtin_map(spec)
+    grid = imap.default_grid(1024) if q == 1 else _graded(1024, q)
+    nu = resolve_measure(imap, grid)
+    h = build_observable(obs, imap, nu).grid_function
+    runs = []
+    run = gordin._shifted_bicgstab
+    monkeypatch.setattr(gordin, "_shifted_bicgstab",
+                        lambda *args: runs.append(1) or run(*args))
+    cold_caches()
+    _, residuals = gordin._resolvents(make_backend(imap, nu), h.values)
+    h_norm = lp_norm(h, 2)
+    bounds = [1e-10 * h_norm] + [2**-12 * 1e-6 * h_norm] * 12
+    assert all(r <= b for r, b in zip(residuals, bounds))
+    assert len(runs) == 1  # no refinement pass
 
 
 def test_gordin_requires_centered(doubling, doubling_nu):
