@@ -9,7 +9,8 @@ Cauchy increments ||h_e - h_d||_2 are checked against the bound
 (e+d)(||f_e||^2 + ||f_d||^2), which must never be violated.
 
 A shift of the operator does not change its Krylov space, so one
-multi-shift BiCGSTAB run (Frommer, Computing 70, 2003) solves the whole
+multi-shift BiCGSTAB run (Frommer, Computing 70, 2003) of the package's
+one Krylov engine, ``transfer._solve_shifted``, solves the whole
 schedule and the Poisson equation (I - P) f = h, the resolvent at e = 0,
 with the two applications of P per step of its seed, the smallest shift.
 For each observable the family e = 0, 2^-1 .. 2^-K_MAX is run once and
@@ -31,8 +32,8 @@ from typing import List, Optional
 
 import numpy as np
 
+from . import transfer
 from .decay import cesaro_norm_sequence
-from .errors import ConvergenceError
 from .function_space import GridFunction, MeasureDensity, weighted_norm
 from .maps import IntervalMap
 from .transfer import _backend_for, _memo
@@ -46,135 +47,16 @@ __all__ = [
 
 K_MAX = 12  # the dyadic schedule eps_k = 2^-k runs over k = 1..K_MAX
 EPS_SCHEDULE = tuple(2.0**-k for k in range(1, K_MAX + 1))
-MAX_ITERATIONS = 1000  # BiCGSTAB steps (two applications of P each) per run
 POISSON_TOL = 1e-10  # Poisson residual, relative to ||h||_2
 TAIL_TOL = 1e-6  # the default tail_tol, relative to ||h||_2
 COBOUNDARY_TOL = 1e-3  # residual below which h is an algebraic coboundary
 
 
-def _ratio(num, den):
-    """num / den for Krylov scalars, floats or arrays; a zero denominator
-    or any other non-finite quotient is a breakdown."""
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        q = np.divide(num, den)
-    if not np.all(np.isfinite(q)):
-        raise ConvergenceError("multi-shift BiCGSTAB broke down")
-    return q
-
-
-def _shifted_bicgstab(op, h: np.ndarray, shifts, tols) -> np.ndarray:
-    """One multi-shift BiCGSTAB run for ((1+e)I - P) x_e = h in L2(nu), e in
-    ``shifts``, from zero starts; returns the x_e as rows of one array.
-
-    The seed, the smallest shift, runs plain BiCGSTAB.  The residual of
-    shift e is the seed's divided by zeta * tau, scalars that follow from
-    the seed's: zeta continues the BiCG residual polynomial to e, and tau
-    the stabilising one.  So the seed's two applications of P per step are
-    the only ones.  A shift is dropped once the norm of its updated
-    residual is at most its tol."""
-    masses = op.measure.masses
-    seed = min(shifts)
-    sigma = np.asarray(shifts, dtype=float) - seed
-    tols = np.asarray(tols, dtype=float)
-    x = np.zeros((sigma.size, h.size))
-
-    def dot(u, v):
-        return float((u * v) @ masses)
-
-    def seed_matvec(v):
-        return (1.0 + seed) * v - op.apply(v)
-
-    live = np.flatnonzero(np.sqrt(dot(h, h)) > tols)
-    # per live shift: the direction p^e, and the scalars zeta_(k-1), zeta_k
-    # and tau_k; the iterate x^e is its row of x
-    ps = [h.astype(float) for _ in live]
-    zeta_old, zeta, tau = np.ones((3, live.size))
-    # the seed's s_k, r_(k+1) and r_k live in rows of basis; row 0 takes p^e
-    basis = np.empty((4, h.size))
-    s, r_new, r = basis[1:]
-    r[:] = h
-    p, rho = h, dot(h, h)
-    alpha_old, beta_old = 1.0, 0.0
-    for _ in range(MAX_ITERATIONS):
-        sig, tol = sigma[live], tols[live]
-        v = seed_matvec(p)
-        alpha = _ratio(rho, dot(h, v))
-        np.subtract(r, alpha * v, out=s)
-        zeta_new = (zeta * (1.0 + alpha * sig)
-                    + _ratio(alpha * beta_old, alpha_old) * (zeta - zeta_old))
-        alpha_s = _ratio(alpha * zeta, zeta_new)
-        s_scale = _ratio(1.0, zeta_new * tau)  # s^e = s_scale * s
-        half = np.sqrt(dot(s, s)) * np.abs(s_scale) <= tol
-        for i in np.flatnonzero(half):  # converged at the half step
-            x[live[i]] += alpha_s[i] * ps[i]
-        if half.all():
-            return x
-        t = seed_matvec(s)
-        omega = _ratio(dot(t, s), dot(t, t))
-        np.subtract(s, omega * t, out=r_new)
-        rho_new = dot(h, r_new)
-        beta = _ratio(rho_new, rho) * _ratio(alpha, omega)
-        omega_s = _ratio(omega, 1.0 + omega * sig)
-        tau_new = tau * (1.0 + omega * sig)
-        r_scale = _ratio(1.0, zeta_new * tau_new)  # r^e_(k+1) = r_scale * r_new
-        full = ~half & (np.sqrt(dot(r_new, r_new)) * np.abs(r_scale) <= tol)
-        # x^e += alpha^e p^e + omega^e s^e, and
-        # p^e <- r^e_(k+1) + beta^e (p^e - (omega^e / alpha^e)(r^e_k - s^e)),
-        # as combinations of the rows of basis
-        beta_s = beta * (zeta / zeta_new) ** 2
-        g = beta_s * omega_s / alpha_s
-        x_coef = np.column_stack([alpha_s, omega_s * s_scale])
-        p_coef = np.column_stack([beta_s, g * s_scale, r_scale,
-                                  -g / (zeta * tau)])
-        for i in np.flatnonzero(~half):
-            basis[0] = ps[i]
-            x[live[i]] += x_coef[i] @ basis[:2]
-            if not full[i]:
-                np.matmul(p_coef[i], basis, out=ps[i])
-        keep = ~(half | full)
-        live, ps = live[keep], [q for q, k in zip(ps, keep) if k]
-        zeta_old, zeta, tau = zeta[keep], zeta_new[keep], tau_new[keep]
-        if not live.size:
-            return x
-        p = r_new + beta * (p - omega * v)
-        r[:] = r_new
-        rho, alpha_old, beta_old = rho_new, alpha, beta
-    raise ConvergenceError(
-        f"multi-shift BiCGSTAB missed the residual bounds at eps="
-        f"{', '.join(f'{shifts[i]:g}' for i in live)} within "
-        f"{MAX_ITERATIONS} iterations"
-    )
-
-
 def _solve_shifted(op, h: np.ndarray, shifts, tols) -> tuple:
-    """f_e with ((1+e)I - P) f_e = h in L2(nu) for each e in ``shifts``, to
-    the residual bound at the same place in ``tols``; returns the f_e as
-    rows of one array and their recomputed residuals.  One multi-shift run
-    solves them all; a system whose recomputed residual misses its bound,
-    as the updated one drifts, is refined by a one-shift run on its true
-    residual, and one that still misses raises ConvergenceError."""
+    """``transfer._solve_shifted`` for ((1+e)I - P) f_e = h in L2(nu)."""
     masses = op.measure.masses
-    tols = np.asarray(tols, dtype=float)
-    h_norm = weighted_norm(h, masses)
-    if np.all(h_norm <= tols):
-        return np.zeros((tols.size, h.size)), np.full(tols.size, h_norm)
-    x = _shifted_bicgstab(op, h, shifts, tols)
-
-    def residual(i):
-        r = h - ((1.0 + shifts[i]) * x[i] - op.apply(x[i]))
-        return r, weighted_norm(r, masses)
-
-    residuals = np.empty(tols.size)
-    for i, tol in enumerate(tols):
-        r, residuals[i] = residual(i)
-        if residuals[i] > tol:
-            x[i] += _shifted_bicgstab(op, r, [shifts[i]], [tol])[0]
-            r, residuals[i] = residual(i)
-            if residuals[i] > tol:
-                raise ConvergenceError(
-                    f"resolvent solve missed residual {tol:g} at "
-                    f"eps={shifts[i]:g} after refinement")
-    return x, residuals
+    return transfer._solve_shifted(op.apply, h, shifts, tols,
+                                   lambda u, v: float((u * v) @ masses))
 
 
 def _resolvents(op, h: np.ndarray) -> tuple:

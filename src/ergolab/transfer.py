@@ -12,13 +12,14 @@ Two interchangeable backends realize the transfer operator:
 
 * ``UlamTransferOperator`` -- the density-free Ulam route on the grid's
   own cells, uniform or not.  The cell transition matrix is a genuine
-  finite Markov operator and its stationary vector is exact for it, so
-  P1 = 1, mean preservation and the L^p contractions hold to machine
-  precision by construction.  This is the default for maps without a
-  closed-form invariant density.
+  finite Markov operator, so P1 = 1, mean preservation and the L^p
+  contractions hold to machine precision by construction.  This is the
+  default for maps without a closed-form invariant density.
 
-One bounded LRU keyed on content caches the operators of both backends,
-and each operator keeps a bounded ``memo`` of sweeps and resolvent families.
+Every linear solve, Ulam's stationary vector and ``gordin``'s resolvents,
+runs one Krylov engine, ``_solve_shifted``.  One bounded LRU keyed on
+content caches the operators of both backends, and each operator keeps a
+bounded ``memo`` of sweeps and resolvent families.
 """
 
 from __future__ import annotations
@@ -112,8 +113,8 @@ class UlamTransferOperator:
     its stationary vector.
 
     Acting on functions: (P f) = ((p*f) M) / p where p is the stationary
-    cell-mass vector; the Koopman companion is f -> M f (conditional
-    expectation of f after one step).
+    cell-mass vector, to |M^T p - p|_1 <= 1e-13; the Koopman companion is
+    f -> M f (conditional expectation of f after one step).
     """
 
     kind = "ulam"
@@ -173,27 +174,143 @@ def ulam_matrix(imap: IntervalMap, grid: QuadratureGrid) -> csr_matrix:
     return csr_matrix(m.multiply(1.0 / rs[:, None]))
 
 
-STATIONARY_TOL = 1e-12  # L1 change between power-iteration steps
-STATIONARY_MAX_ITER = 100_000
+MAX_ITERATIONS = 1000  # BiCGSTAB steps (two matvecs each) per run
+
+
+def _finite(*values):
+    """Raise the breakdown error unless the per-shift arrays are finite."""
+    if not np.isfinite(values).all():
+        raise ConvergenceError("multi-shift BiCGSTAB broke down")
+
+
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
+def _shifted_bicgstab(matvec, b: np.ndarray, shifts, tols, dot) -> np.ndarray:
+    """One multi-shift BiCGSTAB run for ((1+e)I - A) x_e = b, e in
+    ``shifts``, from zero starts, with A = ``matvec`` and the norm of the
+    inner product ``dot``; returns the x_e as rows of one array.
+
+    The seed, the smallest shift, runs plain BiCGSTAB.  The residual of
+    shift e is the seed's divided by zeta * tau, scalars that follow from
+    the seed's: zeta continues the BiCG residual polynomial to e, and tau
+    the stabilising one.  So the seed's two matvecs per step are the only
+    ones.  Shift i is dropped once its updated residual norm is at most
+    ``tols[i]`` (an array); a non-finite scalar is a breakdown."""
+    seed = min(shifts)
+    sigma = np.asarray(shifts, dtype=float) - seed
+    x = np.zeros((sigma.size, b.size))
+
+    def seed_matvec(v):
+        return (1.0 + seed) * v - matvec(v)
+
+    live = np.flatnonzero(np.sqrt(dot(b, b)) > tols)
+    # per live shift: the direction p^e, and the scalars zeta_(k-1), zeta_k
+    # and tau_k; the iterate x^e is its row of x
+    ps = [b.astype(float) for _ in live]
+    zeta_old, zeta, tau = np.ones((3, live.size))
+    # the seed's s_k, r_(k+1) and r_k live in rows of basis; row 0 takes p^e
+    basis = np.empty((4, b.size))
+    s, r_new, r = basis[1:]
+    r[:] = b
+    p, rho = b, dot(b, b)
+    alpha_old, beta_old = 1.0, 0.0
+    try:
+        for _ in range(MAX_ITERATIONS):
+            sig, tol = sigma[live], tols[live]
+            v = seed_matvec(p)
+            alpha = rho / dot(b, v)
+            np.subtract(r, alpha * v, out=s)
+            zeta_new = (zeta * (1.0 + alpha * sig)
+                        + alpha * beta_old / alpha_old * (zeta - zeta_old))
+            alpha_s = alpha * zeta / zeta_new
+            s_scale = 1.0 / (zeta_new * tau)  # s^e = s_scale * s
+            _finite(zeta_new, alpha_s, s_scale)  # alpha_s carries alpha
+            half = np.sqrt(dot(s, s)) * np.abs(s_scale) <= tol
+            for i in np.flatnonzero(half):  # converged at the half step
+                x[live[i]] += alpha_s[i] * ps[i]
+            if half.all():
+                return x
+            t = seed_matvec(s)
+            omega = dot(t, s) / dot(t, t)
+            np.subtract(s, omega * t, out=r_new)
+            rho_new = dot(b, r_new)
+            beta = rho_new / rho * (alpha / omega)
+            omega_s = omega / (1.0 + omega * sig)
+            tau_new = tau * (1.0 + omega * sig)
+            r_scale = 1.0 / (zeta_new * tau_new)  # r^e_(k+1) = r_scale*r_new
+            beta_s = beta * (zeta / zeta_new) ** 2
+            _finite(omega_s, beta_s, r_scale)  # they carry omega and beta
+            full = ~half & (np.sqrt(dot(r_new, r_new)) * np.abs(r_scale) <= tol)
+            # x^e += alpha^e p^e + omega^e s^e, and
+            # p^e <- r^e_(k+1) + beta^e (p^e - (omega^e / alpha^e)(r^e_k - s^e)),
+            # as combinations of the rows of basis
+            g = beta_s * omega_s / alpha_s
+            x_coef = np.column_stack([alpha_s, omega_s * s_scale])
+            p_coef = np.column_stack([beta_s, g * s_scale, r_scale,
+                                      -g / (zeta * tau)])
+            for i in np.flatnonzero(~half):
+                basis[0] = ps[i]
+                x[live[i]] += x_coef[i] @ basis[:2]
+                if not full[i]:
+                    np.matmul(p_coef[i], basis, out=ps[i])
+            keep = ~(half | full)
+            live, ps = live[keep], [q for q, k in zip(ps, keep) if k]
+            zeta_old, zeta, tau = zeta[keep], zeta_new[keep], tau_new[keep]
+            if not live.size:
+                return x
+            p = r_new + beta * (p - omega * v)
+            r[:] = r_new
+            rho, alpha_old, beta_old = rho_new, alpha, beta
+    except ZeroDivisionError:
+        raise ConvergenceError("multi-shift BiCGSTAB broke down") from None
+    missed = ", ".join(f"{shifts[i]:g}" for i in live)
+    raise ConvergenceError(f"multi-shift BiCGSTAB missed the residual bounds "
+                           f"at {missed} within {MAX_ITERATIONS} iterations")
+
+
+def _solve_shifted(matvec, b: np.ndarray, shifts, tols, dot) -> tuple:
+    """x_e with ((1+e)I - A) x_e = b, A = ``matvec``, for each e in
+    ``shifts``, to the residual bound at the same place in ``tols`` in the
+    norm of ``dot``; returns the x_e as rows of one array and their
+    recomputed residuals.  One multi-shift run solves them all; a system
+    whose recomputed residual misses its bound, as the updated one drifts,
+    is refined by a one-shift run on its true residual, and one that still
+    misses raises ConvergenceError."""
+    tols = np.asarray(tols, dtype=float)
+    b_norm = float(np.sqrt(dot(b, b)))
+    if np.all(b_norm <= tols):
+        return np.zeros((tols.size, b.size)), np.full(tols.size, b_norm)
+    x = _shifted_bicgstab(matvec, b, shifts, tols, dot)
+
+    def residual(i):
+        r = b - ((1.0 + shifts[i]) * x[i] - matvec(x[i]))
+        return r, float(np.sqrt(dot(r, r)))
+
+    residuals = np.empty(tols.size)
+    for i, tol in enumerate(tols):
+        r, residuals[i] = residual(i)
+        if residuals[i] > tol:
+            x[i] += _shifted_bicgstab(matvec, r, [shifts[i]], tols[[i]], dot)[0]
+            r, residuals[i] = residual(i)
+            if residuals[i] > tol:
+                raise ConvergenceError(
+                    f"Krylov solve missed residual {tol:g} at shift "
+                    f"{shifts[i]:g} after refinement")
+    return x, residuals
 
 
 def stationary_vector(matrix: csr_matrix) -> np.ndarray:
-    """Left fixed vector of the Ulam matrix by plain power iteration.  A
-    CSR ``matrix`` is transposed into a new CSR matrix; a CSC one is
+    """Left fixed vector p = u + d of the Ulam matrix M, u uniform, with
+    (I - M^T) d = M^T u - u to Euclidean residual 1e-13 / sqrt(n), so that
+    |M^T p - p|_1 <= 1e-13; d sums to 0, as M^T keeps sums.  A CSR
+    ``matrix`` is transposed into a new CSR matrix; a CSC one is
     transposed as a view of its own arrays."""
     n = matrix.shape[0]
     mt = matrix.T.tocsr()
-    p = np.full(n, 1.0 / n)
-    for _ in range(STATIONARY_MAX_ITER):
-        q = mt @ p
-        q /= q.sum()
-        if np.abs(q - p).sum() < STATIONARY_TOL:
-            return q
-        p = q
-    raise ConvergenceError(
-        f"power iteration did not reach {STATIONARY_TOL} in "
-        f"{STATIONARY_MAX_ITER} steps"
-    )
+    u = np.full(n, 1.0 / n)
+    # not np.dot, whose OpenBLAS threads (past 10 000 entries) start slowly
+    d, _ = _solve_shifted(mt.dot, mt @ u - u, [0.0], [1e-13 / np.sqrt(n)],
+                          lambda a, b: float(np.einsum("i,i", a, b)))
+    return u + d[0]
 
 
 # The one operator LRU, keyed on content (maps, grids and measures are

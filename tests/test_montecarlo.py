@@ -501,8 +501,8 @@ def test_green_kubo_requires_centered(doubling, doubling_nu):
         sigma_green_kubo(doubling, doubling_nu, h)
 
 
-@pytest.mark.parametrize("spec,c", [("doubling", 2 * np.pi), ("lsv:0.25", 3.0)],
-                         ids=["doubling-2*pi", "lsv:0.25-3"])
+@pytest.mark.parametrize("spec,c", [("doubling", 2 * np.pi), ("lsv:0.25", 1.0)],
+                         ids=["doubling-2*pi", "lsv:0.25-1"])
 def test_solver_breakdown_is_a_convergence_error(spec, c):
     # a constant centred by its quadrature mean, which rounds apart here,
     # is a roundoff-level h on which a Krylov scalar of the Poisson solve

@@ -1,3 +1,5 @@
+from collections import OrderedDict
+
 import numpy as np
 import pytest
 
@@ -10,10 +12,12 @@ from ergolab import (
     lp_norm,
     make_backend,
     resolve_measure,
+    transfer,
     transfer_apply,
     ulam_matrix,
 )
-from ergolab.errors import InvalidInputError
+from ergolab.cli import main
+from ergolab.errors import ConvergenceError, InvalidInputError
 from ergolab.transfer import UlamTransferOperator, stationary_vector
 
 
@@ -78,6 +82,37 @@ def test_ulam_on_graded_cells_keeps_lebesgue_for_doubling():
     for grid in (_graded(1024), _graded_edges(1024)):
         p = stationary_vector(ulam_matrix(builtin_map("doubling"), grid))
         assert np.abs(p - grid.weights).sum() < 1e-11
+
+
+STOP_RULE_CASES = [("lsv:0.25", 1), ("lsv:0.6", 1), ("lsv:0.8", 1),
+                   ("chebyshev:2", 1), ("lsv:0.25", 2)]
+
+
+@pytest.mark.parametrize("spec,q", STOP_RULE_CASES,
+                         ids=[f"{s}-q{q}" for s, q in STOP_RULE_CASES])
+def test_stationary_vector_stops_on_its_residual(spec, q):
+    # the Euclidean residual 1e-13 / sqrt(n) bounds |M^T p - p|_1 by 1e-13;
+    # a step-change rule at 1e-12 left 7e-13 to 1e-12 here
+    m = builtin_map(spec)
+    grid = m.default_grid(4096) if q == 1 else _graded_edges(4096)
+    matrix = ulam_matrix(m, grid)
+    p = stationary_vector(matrix)
+    assert np.abs(matrix.T @ p - p).sum() <= 2e-13
+    assert p.min() >= 0
+    assert abs(p.sum() - 1) <= 1e-14
+
+
+def test_stationary_solve_failure_is_a_convergence_error(monkeypatch,
+                                                         capsys):
+    # three BiCGSTAB steps cannot reach the residual bound at lsv:0.6; the
+    # empty cache holds no operator built by an earlier test
+    monkeypatch.setattr(transfer, "MAX_ITERATIONS", 3)
+    monkeypatch.setattr(transfer, "_OP_CACHE", OrderedDict())
+    m = builtin_map("lsv:0.6")
+    with pytest.raises(ConvergenceError):
+        UlamTransferOperator(m, m.default_grid(1024))
+    assert main(["density", "--map", "lsv:0.6", "--cells", "1024"]) == 3
+    assert "convergence error" in capsys.readouterr().err
 
 
 def test_resolve_measure_keeps_its_grid():
