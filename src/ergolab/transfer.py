@@ -171,7 +171,8 @@ def ulam_matrix(imap: IntervalMap, grid: QuadratureGrid) -> csr_matrix:
     m.eliminate_zeros()  # segment ends that sit on a y-edge
     # kill accumulated roundoff so rows are stochastic to machine precision
     rs = np.asarray(m.sum(axis=1)).ravel()
-    return csr_matrix(m.multiply(1.0 / rs[:, None]))
+    m.data *= np.repeat(1.0 / rs, np.diff(m.indptr))
+    return m
 
 
 MAX_ITERATIONS = 1000  # BiCGSTAB steps (two matvecs each) per run

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from ergolab import builtin_map
-from ergolab.errors import ConfigurationError, DomainError
+from ergolab import builtin_map, maps
+from ergolab.errors import ConfigurationError, ConvergenceError, DomainError
+from ergolab.maps import _newton_inverse
 
 
 def test_builtin_map_registry():
@@ -65,6 +66,43 @@ def test_lsv_branch_inverse_roundtrip():
     x = np.linspace(0.01, 0.99, 17)
     y = m.branches[0].inverse(x)
     assert np.allclose(m.branches[0].forward(y), x, atol=1e-12)
+
+
+@pytest.mark.parametrize("q", [1, 2], ids=["uniform", "graded"])
+@pytest.mark.parametrize("spec, k", [
+    *[(f"lsv:{g}", 0) for g in (0.05, 0.25, 0.95, 3, 10)],
+    *[(f"manneville_pomeau:{g}", k) for g in (0.05, 0.5, 0.99) for k in (0, 1)],
+])
+def test_newton_inverse_on_cell_edges(spec, k, q):
+    # the x an Ulam build pulls back: 65536-cell edges clipped to the range
+    br = builtin_map(spec).branches[k]
+    x = np.unique(np.clip(np.linspace(0, 1, 65537) ** q, *br.range))
+    calls = []
+
+    def fwd(y):
+        calls.append(1)
+        return br.forward(y)
+
+    y = _newton_inverse(fwd, br.deriv_mag, br.lo, br.hi, x)
+    assert np.max(np.abs(br.forward(y) - x)) <= 1e-15
+    assert br.lo <= y.min() and y.max() <= br.hi
+    assert np.all(np.diff(y) >= 0)
+    assert len(calls) <= 12
+
+
+def test_newton_inverse_of_a_concave_map_raises():
+    # Newton overshoots the root of a concave map and stops at the wrong
+    # point; the residual check turns that into an error
+    x = np.linspace(0.2, 0.9, 8)
+    with pytest.raises(ConvergenceError, match="residual"):
+        _newton_inverse(np.sqrt, lambda y: 0.5 / np.sqrt(y), 0.01, 1.0, x)
+
+
+def test_newton_inverse_step_cap_raises(monkeypatch):
+    monkeypatch.setattr(maps, "_INVERSE_STEPS", 2)
+    br = builtin_map("lsv:0.25").branches[0]
+    with pytest.raises(ConvergenceError, match="no fixed point"):
+        br.inverse(np.linspace(0.0, 1.0, 65))
 
 
 def test_manneville_pomeau_breakpoint():
