@@ -70,6 +70,8 @@ def norm_decay_sequence(imap: IntervalMap, nu: MeasureDensity, h: GridFunction,
 def cesaro_norm_sequence(imap: IntervalMap, nu: MeasureDensity, h: GridFunction,
                          n_max: int) -> np.ndarray:
     """[||sum_{k=0}^{n-1} P^k h||_2 for n = 1..n_max] (k=0 term is h itself)."""
+    if n_max < 1:
+        raise PreconditionError("n_max must be >= 1")
     return _sweep(imap, nu, h, n_max, "auto")[3]
 
 

@@ -14,7 +14,10 @@ Masses are computed three ways, in decreasing order of accuracy:
 * from density values times cell widths;
 * directly, when the measure comes out of an Ulam fixed-vector computation.
 
-In all cases masses are normalized to total mass one.
+In all cases masses are normalized to total mass one.  Every quadrature
+sum in the package is reduced by one helper, ``_dot``, an einsum rather
+than BLAS ``ddot``, whose worker threads start slowly inside a process's
+first long call.
 """
 
 from __future__ import annotations
@@ -219,9 +222,15 @@ def _check_compatible(f: GridFunction, g: GridFunction):
         raise IncompatibleGridsError("grid functions are not compatible")
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """sum(a * b) by einsum, not BLAS ``ddot``, whose OpenBLAS threads
+    (past 10 000 entries) start slowly inside a process's first long call."""
+    return float(np.einsum("i,i", a, b))
+
+
 def integrate(f: GridFunction) -> float:
     """Quadrature approximation of the integral of f against its measure."""
-    return float(f.values @ f.measure.masses)
+    return _dot(f.values, f.measure.masses)
 
 
 def require_centered(f: GridFunction):
@@ -236,9 +245,9 @@ def weighted_norm(values: np.ndarray, masses: np.ndarray, p=2) -> float:
     if p == np.inf:
         return float(np.max(np.abs(values)))
     if p == 1:
-        return float(np.abs(values) @ masses)
+        return _dot(np.abs(values), masses)
     if p == 2:
-        return float(np.sqrt((values**2) @ masses))
+        return float(np.sqrt(_dot(values**2, masses)))
     raise InvalidInputError(f"unsupported exponent {p!r}")
 
 
@@ -250,4 +259,4 @@ def lp_norm(f: GridFunction, p) -> float:
 def inner_product(f: GridFunction, g: GridFunction) -> float:
     """Quadrature of f*g against the shared measure."""
     _check_compatible(f, g)
-    return float((f.values * g.values) @ f.measure.masses)
+    return _dot(f.values * g.values, f.measure.masses)

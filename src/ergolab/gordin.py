@@ -13,9 +13,9 @@ multi-shift BiCGSTAB run (Frommer, Computing 70, 2003) of the package's
 one Krylov engine, ``transfer._solve_shifted``, solves the whole
 schedule and the Poisson equation (I - P) f = h, the resolvent at e = 0,
 with the two applications of P per step of its seed, the smallest shift.
-For each observable the family e = 0, 2^-1 .. 2^-K_MAX is run once and
-kept in ``transfer._memo``: ``sigma_green_kubo``, coboundary detection and
-the decomposition read it in any order.
+For each observable and tail_tol the family e = 0, 2^-1 .. 2^-K_MAX is run
+once and kept in ``transfer._memo``; sigma_green_kubo, coboundary detection
+and the decomposition read it in any order.
 
 Coboundary detection takes the Poisson solution f-tilde (centred h lies in
 the range of I - P) and the transfer function f = P f-tilde, so that
@@ -34,7 +34,7 @@ import numpy as np
 
 from . import transfer
 from .decay import cesaro_norm_sequence
-from .function_space import GridFunction, MeasureDensity, weighted_norm
+from .function_space import GridFunction, MeasureDensity, _dot, weighted_norm
 from .maps import IntervalMap
 from .transfer import _backend_for, _memo
 
@@ -56,21 +56,20 @@ def _solve_shifted(op, h: np.ndarray, shifts, tols) -> tuple:
     """``transfer._solve_shifted`` for ((1+e)I - P) f_e = h in L2(nu)."""
     masses = op.measure.masses
     return transfer._solve_shifted(op.apply, h, shifts, tols,
-                                   lambda u, v: float((u * v) @ masses))
+                                   lambda u, v: _dot(u * v, masses))
 
 
-def _resolvents(op, h: np.ndarray) -> tuple:
-    """The default family e = 0, then EPS_SCHEDULE, solved once per
-    operator and h (``transfer._memo``) to the bounds POISSON_TOL * ||h||_2
-    at e = 0 and 2^-K_MAX times the default tail_tol for every e > 0;
+def _resolvents(op, h: np.ndarray, tail_tol: Optional[float] = None) -> tuple:
+    """The family e = 0, then EPS_SCHEDULE, solved once per operator, h and
+    tail_tol (default TAIL_TOL * ||h||_2; ``transfer._memo``) to the bounds
+    POISSON_TOL * ||h||_2 at e = 0 and 2^-K_MAX * tail_tol for every e > 0;
     returns the read-only f_e as rows of one array and their residuals."""
-    def solve():
-        h_norm = weighted_norm(h, op.measure.masses)
-        tail = EPS_SCHEDULE[-1] * TAIL_TOL * max(h_norm, 1e-30)
-        return _solve_shifted(op, h, (0.0, *EPS_SCHEDULE),
-                              [POISSON_TOL * h_norm] + [tail] * K_MAX)
-
-    return _memo(op, ("resolvents",), h, solve)
+    h_norm = weighted_norm(h, op.measure.masses)
+    if tail_tol is None:
+        tail_tol = TAIL_TOL * max(h_norm, 1e-30)
+    bounds = [POISSON_TOL * h_norm] + [EPS_SCHEDULE[-1] * tail_tol] * K_MAX
+    return _memo(op, ("resolvents", tail_tol), h, lambda: _solve_shifted(
+        op, h, (0.0, *EPS_SCHEDULE), bounds))
 
 
 def solve_poisson(op, h: np.ndarray) -> tuple:
@@ -110,18 +109,12 @@ class GordinDecomposition:
 def gordin_decompose(imap: IntervalMap, nu: MeasureDensity, h: GridFunction,
                      tail_tol: Optional[float] = None) -> GordinDecomposition:
     """Run the dyadic schedule eps_k = 2^-k, k = 1..K_MAX, and collect the
-    martingale part estimate h-tilde = h_{eps_(K_MAX)}.  The default
-    tail_tol, TAIL_TOL * ||h||_2, reads the shared resolvent family; any
-    other value runs its own."""
+    martingale part estimate h-tilde = h_{eps_(K_MAX)}, from the memoised
+    resolvent family of tail_tol (default TAIL_TOL * ||h||_2)."""
     op = _backend_for(imap, nu, h)
     masses = nu.masses
     eps_list = list(EPS_SCHEDULE)
-    if tail_tol is None:
-        f_all, residuals = (a[1:] for a in _resolvents(op, h.values))
-    else:
-        # one residual for all e bounds every ||f - f_e||_2 by tail_tol
-        f_all, residuals = _solve_shifted(op, h.values, eps_list,
-                                          [eps_list[-1] * tail_tol] * K_MAX)
+    f_all, residuals = (a[1:] for a in _resolvents(op, h.values, tail_tol))
 
     f_norms, cauchy, slacks = [], [], []
     for k, f in enumerate(f_all):

@@ -86,7 +86,7 @@ import numpy as np
 from .errors import (
     ConfigurationError, DomainError, EnsembleRunError, PreconditionError,
 )
-from .function_space import GridFunction, MeasureDensity
+from .function_space import GridFunction, MeasureDensity, _dot
 from .gordin import solve_poisson
 from .maps import _ESCAPE_TOL, IntervalMap, _inside
 from .transfer import _backend_for
@@ -390,7 +390,7 @@ def sigma_green_kubo(imap: IntervalMap, nu: MeasureDensity,
     (I - P) f = h is solved to residual POISSON_TOL * ||h||_2."""
     op = _backend_for(imap, nu, h)
     f, residual = solve_poisson(op, h.values)
-    sigma2 = float((h.values * (2.0 * f - h.values)) @ nu.masses)
+    sigma2 = _dot(h.values * (2.0 * f - h.values), nu.masses)
     return GreenKuboResult(sigma2, residual)
 
 

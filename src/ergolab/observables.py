@@ -28,7 +28,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ParameterError
-from .function_space import GridFunction, MeasureDensity
+from .function_space import GridFunction, MeasureDensity, _dot
 from .maps import IntervalMap
 
 __all__ = ["Observable", "build_observable", "parse_expression"]
@@ -151,7 +151,7 @@ def _extrapolated_mean(raw: Callable, imap: IntervalMap, n_cells: int,
     means = []
     for cells in (n_cells // 4, n_cells // 2):
         sub = invariant_density(imap, cells)
-        means.append(float(np.asarray(raw(sub.grid.nodes), float) @ sub.masses))
+        means.append(_dot(np.asarray(raw(sub.grid.nodes), float), sub.masses))
     means.append(mean)
     d1, d2 = means[1] - means[0], means[2] - means[1]
     if d1 == 0 or not 0 < (r := d2 / d1) < 0.95:
@@ -169,7 +169,7 @@ def build_observable(spec: str, imap: IntervalMap,
         # quadrature sum may round apart and leave a roundoff-level h
         mean = mc_mean = float(values[0])
     else:
-        mean = float(values @ nu.masses)
+        mean = _dot(values, nu.masses)
         mc_mean = mean
         if not nu.closed_form:
             mc_mean = _extrapolated_mean(raw, imap, nu.grid.size, mean)

@@ -34,9 +34,10 @@ from .errors import (
     ConvergenceError,
     DegenerateMeasureError,
     InvalidInputError,
+    PreconditionError,
 )
 from .function_space import (GridFunction, MeasureDensity, QuadratureGrid,
-                             require_centered)
+                             _dot, require_centered)
 from .maps import IntervalMap
 
 __all__ = [
@@ -102,7 +103,7 @@ class BranchTransferOperator:
 
     def apply(self, values: np.ndarray) -> np.ndarray:
         out = self.matrix @ values
-        return out + (values @ self._masses - out @ self._masses)
+        return out + (_dot(values, self._masses) - _dot(out, self._masses))
 
     def koopman(self, values: np.ndarray) -> np.ndarray:
         return self._koopman @ values
@@ -308,9 +309,8 @@ def stationary_vector(matrix: csr_matrix) -> np.ndarray:
     n = matrix.shape[0]
     mt = matrix.T.tocsr()
     u = np.full(n, 1.0 / n)
-    # not np.dot, whose OpenBLAS threads (past 10 000 entries) start slowly
     d, _ = _solve_shifted(mt.dot, mt @ u - u, [0.0], [1e-13 / np.sqrt(n)],
-                          lambda a, b: float(np.einsum("i,i", a, b)))
+                          _dot)
     return u + d[0]
 
 
@@ -414,6 +414,8 @@ def duality_residual(imap: IntervalMap, nu: MeasureDensity, f: GridFunction,
     g once; iterating the one-step Koopman matrix instead would compound
     interpolation error through the n-fold derivative growth of T^n.
     """
+    if n < 0:
+        raise PreconditionError(f"n must be >= 0, got {n}")
     if n == 0:
         return 0.0
     op = make_backend(imap, nu, kind="branch")
@@ -422,7 +424,5 @@ def duality_residual(imap: IntervalMap, nu: MeasureDensity, f: GridFunction,
     for _ in range(n):
         pf = op.apply(pf)
         x = imap.step(x)
-    masses = nu.masses
-    lhs = float((pf * g.values) @ masses)
-    rhs = float((f.values * g.interpolate(x)) @ masses)
-    return abs(lhs - rhs)
+    return abs(_dot(pf * g.values, nu.masses)
+               - _dot(f.values * g.interpolate(x), nu.masses))

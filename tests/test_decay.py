@@ -14,6 +14,7 @@ from ergolab import (
     resolve_measure,
 )
 from ergolab.errors import FitError, InvalidInputError, PreconditionError
+from ergolab.function_space import _dot
 
 
 def test_fit_polynomial_rate_exact_power_law():
@@ -109,6 +110,13 @@ def test_classify_failure_on_slow_synthetic():
     assert report.flags["coboundary_bounded"] == "fail"
 
 
+@pytest.mark.parametrize("n_max", [0, -1])
+def test_cesaro_needs_one_term(doubling, doubling_nu, n_max):
+    h = build_observable("cos1", doubling, doubling_nu).grid_function
+    with pytest.raises(PreconditionError):
+        cesaro_norm_sequence(doubling, doubling_nu, h, n_max)
+
+
 def test_classify_needs_enough_terms():
     seq = np.ones(8)
     with pytest.raises(PreconditionError):
@@ -137,12 +145,12 @@ def test_one_sweep_equals_separate_passes(lsv25, lsv25_nu):
     powers = [h.values]
     for _ in range(64):
         powers.append(op.apply(powers[-1]))
-    l1 = [np.abs(v) @ m for v in powers[1:]]
-    l2 = [np.sqrt((v**2) @ m) for v in powers[1:]]
+    l1 = [_dot(np.abs(v), m) for v in powers[1:]]
+    l2 = [np.sqrt(_dot(v**2, m)) for v in powers[1:]]
     acc, ces = np.zeros_like(h.values), []
     for v in powers[:-1]:
         acc += v
-        ces.append(np.sqrt((acc**2) @ m))
+        ces.append(np.sqrt(_dot(acc**2, m)))
     report = decay_report(lsv25, lsv25_nu, h)
     assert report.l1.tolist() == l1
     assert report.l2.tolist() == l2

@@ -1,3 +1,6 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -149,3 +152,16 @@ def test_csv_headers():
     assert nu.to_csv().startswith("# measure=uniform normalized=True\n")
     f = GridFunction(np.ones(4), nu)
     assert f.to_csv().splitlines()[0] == "node,value"
+
+
+def test_only_function_space_reduces_against_masses():
+    # every quadrature sum goes through function_space._dot: no other
+    # module reduces with a BLAS product against masses, np.einsum or np.dot
+    src = Path(__file__).resolve().parents[1] / "src" / "ergolab"
+    reduction = re.compile(r"@\s*[\w.]*masses|np\.einsum|np\.dot")
+    offenders = [f"{path.name}:{n}: {line.strip()}"
+                 for path in sorted(src.glob("*.py"))
+                 if path.name != "function_space.py"
+                 for n, line in enumerate(path.read_text().splitlines(), 1)
+                 if reduction.search(line)]
+    assert not offenders, "\n".join(offenders)

@@ -94,6 +94,16 @@ def test_resolvent_matches_series(lsv25, lsv25_1024, eps):
             <= 1e-8 * lp_norm(series, 2))
 
 
+def test_explicit_default_tail_tol_reads_the_shared_family(lsv25, lsv25_1024):
+    # an explicit tail_tol equal to the default keys the same memoised
+    # family as the default call, so both return the same arrays
+    nu, h = lsv25_1024
+    default = gordin_decompose(lsv25, nu, h)
+    explicit = gordin_decompose(lsv25, nu, h, tail_tol=1e-6 * lp_norm(h, 2))
+    assert explicit.resolvent_residuals == default.resolvent_residuals
+    assert np.array_equal(explicit.f_eps.values, default.f_eps.values)
+
+
 def test_gordin_unreachable_tolerance_is_convergence_error(lsv25, lsv25_1024):
     nu, h = lsv25_1024
     with pytest.raises(ConvergenceError):

@@ -17,7 +17,8 @@ from ergolab import (
     ulam_matrix,
 )
 from ergolab.cli import main
-from ergolab.errors import ConvergenceError, InvalidInputError
+from ergolab.errors import (ConvergenceError, InvalidInputError,
+                            PreconditionError)
 from ergolab.transfer import UlamTransferOperator, stationary_vector
 
 
@@ -253,6 +254,12 @@ def test_duality_residual_small_and_refining():
 def test_duality_residual_zero_steps(doubling, doubling_nu):
     f = GridFunction.from_callable(lambda y: y, doubling_nu)
     assert duality_residual(doubling, doubling_nu, f, f, 0) == 0.0
+
+
+def test_duality_residual_rejects_negative_steps(doubling, doubling_nu):
+    f = GridFunction.from_callable(lambda y: y, doubling_nu)
+    with pytest.raises(PreconditionError):
+        duality_residual(doubling, doubling_nu, f, f, -1)
 
 
 def test_operator_cache_is_keyed_on_content():
