@@ -32,6 +32,7 @@ __all__ = [
 MARGIN = 0.05  # slack on each exponent threshold
 ZERO_NORM_TOL = 1e-6  # of ||h||_2: the fit window's ||P^n h||_2 reads as 0
 MIN_CLASSIFY_N = 32  # shortest sequences classify_conditions accepts
+PLATEAU_TOL = 0.01  # growth over the last quarter that still reads as flat
 
 
 def _sweep(imap: IntervalMap, nu: MeasureDensity, h: GridFunction,
@@ -139,6 +140,15 @@ class DecayReport:
         )
 
 
+def _plateau(seq: np.ndarray) -> tuple:
+    """(increment, flat): the growth of ``seq`` over its last quarter over
+    its last value (0 if that is 0), and whether it is under PLATEAU_TOL."""
+    q = max(1, seq.size - seq.size // 4)
+    level = float(seq[-1])
+    increment = float(seq[-1] - seq[q - 1]) / level if level else 0.0
+    return increment, increment < PLATEAU_TOL
+
+
 def _safe_fit(seq, rng) -> Optional[RateFit]:
     try:
         return fit_polynomial_rate(seq, rng)
@@ -187,11 +197,9 @@ def classify_conditions(map_label: str, observable: str, backend: str,
 
     # summability of n^(-1/2) ||P^n h||_2: plateau of the partial sums
     terms = l2 / np.sqrt(np.arange(1, n_max + 1))
-    partial = np.cumsum(terms)
-    q = max(1, n_max - n_max // 4)
-    increment = (partial[-1] - partial[q - 1]) / partial[-1]
-    report.diagnostics["l1_tail_increment"] = float(increment)
-    report.flags["l1_series_summable"] = verdict(increment < 0.01)
+    increment, flat = _plateau(np.cumsum(terms))
+    report.diagnostics["l1_tail_increment"] = increment
+    report.flags["l1_series_summable"] = verdict(flat)
 
     if fit_ces is None:
         report.flags["cesaro_alpha_lt_half"] = "unknown"

@@ -234,9 +234,9 @@ def integrate(f: GridFunction) -> float:
 
 
 def require_centered(f: GridFunction):
-    """Raise PreconditionError unless f has mean zero (to 1e-6) under its measure."""
+    """Raise PreconditionError unless f's mean is 0 to 1e-6 ||f||_2."""
     mean = integrate(f)
-    if abs(mean) > 1e-6:
+    if abs(mean) > 1e-6 * weighted_norm(f.values, f.measure.masses):
         raise PreconditionError(f"observable is not centered: mean = {mean:g}")
 
 

@@ -22,7 +22,8 @@ the range of I - P) and the transfer function f = P f-tilde, so that
 h = f o T - f up to the martingale part.  The finite operator always has a
 solution, so a small algebraic residual ||U f - f - h||_2 flags sigma = 0
 only together with bounded Cesaro norms, the sign that sum_k P^k h itself
-converges.  It shares the sweep with ``decay_report``.
+converges.  Both tests are relative to ||h||_2, so the verdict does not
+depend on the scale of h.  It shares the sweep with ``decay_report``.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from typing import List, Optional
 import numpy as np
 
 from . import transfer
-from .decay import cesaro_norm_sequence
+from .decay import _plateau, cesaro_norm_sequence
 from .function_space import GridFunction, MeasureDensity, _dot, weighted_norm
 from .maps import IntervalMap
 from .transfer import _backend_for, _memo
@@ -49,7 +50,7 @@ K_MAX = 12  # the dyadic schedule eps_k = 2^-k runs over k = 1..K_MAX
 EPS_SCHEDULE = tuple(2.0**-k for k in range(1, K_MAX + 1))
 POISSON_TOL = 1e-10  # Poisson residual, relative to ||h||_2
 TAIL_TOL = 1e-6  # the default tail_tol, relative to ||h||_2
-COBOUNDARY_TOL = 1e-3  # residual below which h is an algebraic coboundary
+COBOUNDARY_TOL = 1e-3  # of ||h||_2: the largest residual of a coboundary
 
 
 def _solve_shifted(op, h: np.ndarray, shifts, tols) -> tuple:
@@ -158,7 +159,7 @@ class CoboundaryResult:
     transfer_function: GridFunction
     residual: float
     cesaro_bounded: bool
-    tol: float
+    tol: float  # of ||h||_2
 
     @property
     def is_coboundary(self) -> bool:
@@ -179,22 +180,17 @@ def coboundary_detect(imap: IntervalMap, nu: MeasureDensity,
     op = _backend_for(imap, nu, h)
     masses = nu.masses
 
-    ces = cesaro_norm_sequence(imap, nu, h, 64)
-    # bounded if the last quarter of the Cesaro curve is flat to 1%
-    q = max(1, ces.size - ces.size // 4)
-    level = float(ces[-1])
-    bounded = bool(ces[-1] - ces[q - 1] <= 0.01 * max(level, 1e-30))
+    _, bounded = _plateau(cesaro_norm_sequence(imap, nu, h, 64))
 
     f_tilde, _ = solve_poisson(op, h.values)
     f_vals = op.apply(f_tilde)
     residual = weighted_norm(op.koopman(f_vals) - f_vals - h.values, masses)
 
     h_norm = weighted_norm(h.values, masses)
-    tol = COBOUNDARY_TOL
-    algebra_ok = residual < tol
+    algebra_ok = residual <= COBOUNDARY_TOL * h_norm
     if algebra_ok and bounded:
         verdict = "true"
-    elif not algebra_ok and (not bounded or residual > max(10 * tol, 0.01 * h_norm)):
+    elif not algebra_ok and (not bounded or residual > 0.01 * h_norm):
         verdict = "false"
     else:
         verdict = "indeterminate"
@@ -203,5 +199,5 @@ def coboundary_detect(imap: IntervalMap, nu: MeasureDensity,
         transfer_function=h.with_values(f_vals),
         residual=residual,
         cesaro_bounded=bounded,
-        tol=tol,
+        tol=COBOUNDARY_TOL,
     )

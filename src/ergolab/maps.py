@@ -36,6 +36,14 @@ overshoot and stall left of the root, leads to.
 The domain check is two reductions, ``min(y) >= a`` and ``max(y) <= b``:
 NaN propagates through both and fails the check, and an empty array
 passes.
+
+``IntervalMap.step`` is the one orbit step: the ensemble and
+``transfer.duality_residual`` advance points only through it.  It checks
+``forward(y)`` by the two reductions, and only when that fails: a NaN,
+which no clip mends, raises ``DomainError``; a point more than
+``_ESCAPE_TOL`` outside raises ``NumericalEscapeError``, or, given a mask
+``alive``, has its entry set False and is parked at the midpoint; and a
+clip puts the roundoff excursions back.  The input is not clipped first.
 """
 
 from __future__ import annotations
@@ -122,13 +130,22 @@ class IntervalMap:
             raise DomainError("point outside the map domain")
         return np.asarray(self.forward(y))
 
-    def step(self, y):
-        """Forward map with clamping of roundoff excursions; in-place safe."""
-        out = self(np.clip(y, self.domain[0], self.domain[1]))
+    def step(self, y, alive=None):
+        """One orbit step: ``forward(y)``, checked and clipped back into the
+        domain as the module docstring sets out; ``alive`` masks escapes."""
         a, b = self.domain
-        if np.any(out < a - _ESCAPE_TOL) or np.any(out > b + _ESCAPE_TOL):
-            raise NumericalEscapeError(f"{self.name}: iterate escaped the domain")
-        return np.clip(out, a, b)
+        y = np.asarray(self.forward(np.asarray(y, dtype=float)))
+        if _inside(y, a, b):
+            return y
+        if np.isnan(y).any():
+            raise DomainError("point outside the map domain")
+        escaped = (y < a - _ESCAPE_TOL) | (y > b + _ESCAPE_TOL)
+        if escaped.any():
+            if alive is None:
+                raise NumericalEscapeError(f"{self.name}: iterate escaped the domain")
+            alive &= ~escaped
+            np.copyto(y, 0.5 * (a + b), where=escaped)
+        return np.clip(y, a, b, out=y)
 
     def default_grid(self, n: int) -> QuadratureGrid:
         """Quadrature grid of n cells adapted to the invariant measure;

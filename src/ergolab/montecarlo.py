@@ -56,14 +56,10 @@ sign(S_k), which only ever holds exact integers.  The occupation is
 steps plus the number of ties, an exact integer, so this equals
 ``(positive + ties / 2) / n`` bit for bit, and ties count half.
 
-A point-mode step checks the domain once.  The start points are checked
-once, since an inverse-CDF sampler may leave the domain; each step then
-calls the map's ``forward``, not ``IntervalMap.__call__`` with its own
-check, and checks the new points by two reductions.  Only when that
-fails do the escape mask and the clip run: the clip puts every point
-back in the domain for the next step, and a NaN, which no clip mends,
-raises ``DomainError`` at once.  A burn-in step checks and clips the
-same way.
+The start points are checked once, since an inverse-CDF sampler may
+leave the domain.  Every burn-in and measured step of a point mode is
+``IntervalMap.step`` with the group's ``alive`` mask, so an orbit that
+escapes at any step, burn-in included, is dropped and counted.
 
 FCLT path functionals (sup, occupation fraction) are computed from the
 full n-step prefix-sum resolution rather than from the coarse m-point
@@ -88,7 +84,7 @@ from .errors import (
 )
 from .function_space import GridFunction, MeasureDensity, _dot
 from .gordin import solve_poisson
-from .maps import _ESCAPE_TOL, IntervalMap, _inside
+from .maps import IntervalMap, _inside
 from .transfer import _backend_for
 
 __all__ = [
@@ -187,9 +183,11 @@ def _word(rng, size) -> np.ndarray:
     return rng.integers(0, 2**64, size=size, dtype=np.uint64)
 
 
-def _start(imap: IntervalMap, cfg: EnsembleConfig, mode: str, streams):
+def _start(imap: IntervalMap, cfg: EnsembleConfig, mode: str, streams,
+           alive: Optional[np.ndarray] = None):
     """A group's initial orbit states: bit-queue words, inverse-CDF points,
-    or points burned in from Lebesgue measure."""
+    or points burned in from Lebesgue measure by ``IntervalMap.step``, which
+    marks an orbit that escapes dead in ``alive``."""
     if mode == "bit-queue":
         return _draw(streams, _word)
     a, b = imap.domain
@@ -201,18 +199,8 @@ def _start(imap: IntervalMap, cfg: EnsembleConfig, mode: str, streams):
     if not _inside(y, a, b):
         raise DomainError("point outside the map domain")
     for _ in range(burnin):
-        y = imap.forward(y)
-        if not _inside(y, a, b):
-            _check_nan(y)
-            np.clip(y, a, b, out=y)
+        y = imap.step(y, alive)
     return y
-
-
-def _check_nan(y: np.ndarray):
-    """Raise DomainError if a step left a NaN in ``y``: the clip that
-    follows a failed range check keeps NaN, so the orbit cannot go on."""
-    if np.isnan(y).any():
-        raise DomainError("point outside the map domain")
 
 
 def _stepper(imap: IntervalMap, mode: str):
@@ -221,9 +209,8 @@ def _stepper(imap: IntervalMap, mode: str):
     The bit queue maps a 64-bit word to its point in [0, 1) and advances
     by shifting in the top bit of a fresh random word, one word per orbit
     drawn from each batch's stream every 64 steps.  Every other mode holds
-    points (already clipped to the domain) and advances by the map's
-    ``forward``; an orbit that escapes the domain is parked at the midpoint
-    and marked dead in ``alive``, and a NaN raises ``DomainError``.
+    points and advances by ``IntervalMap.step``, which marks an orbit that
+    escapes the domain dead in ``alive``.
     """
     if mode == "bit-queue":
         one, top = np.uint64(1), np.uint64(63)
@@ -241,21 +228,7 @@ def _stepper(imap: IntervalMap, mode: str):
 
         return (lambda state: state * 2.0**-64), advance
 
-    a, b = imap.domain
-
-    def advance(y, streams, alive):
-        y = imap.forward(y)
-        if _inside(y, a, b):
-            return y
-        _check_nan(y)
-        escaped = (y < a - _ESCAPE_TOL) | (y > b + _ESCAPE_TOL)
-        if np.any(escaped):
-            alive &= ~escaped
-            y = np.where(escaped, 0.5 * (a + b), y)
-        np.clip(y, a, b, out=y)
-        return y
-
-    return (lambda y: y), advance
+    return (lambda y: y), (lambda y, streams, alive: imap.step(y, alive))
 
 
 def _run_group(imap, h, cfg, mode, cp, group):
@@ -263,10 +236,10 @@ def _run_group(imap, h, cfg, mode, cp, group):
     (S, sup, sgn, checkpoints), where sgn sums sign(S_k) over the steps."""
     streams = _streams(cfg, group)
     size = sum(hi - lo for _, _, lo, hi in group)
-    state = _start(imap, cfg, mode, streams)
+    alive = np.ones(size, dtype=bool)
+    state = _start(imap, cfg, mode, streams, alive)
     point, advance = _stepper(imap, mode)
     n = cfg.n
-    alive = np.ones(size, dtype=bool)
     S = np.zeros(size)
     sup = np.zeros(size)
     sgn = np.zeros(size)

@@ -12,10 +12,15 @@ from ergolab import (
     InvalidInputError,
     MeasureDensity,
     QuadratureGrid,
+    build_observable,
+    builtin_map,
     inner_product,
     integrate,
     lp_norm,
+    resolve_measure,
 )
+from ergolab.errors import PreconditionError
+from ergolab.function_space import require_centered
 
 
 def uniform_measure(n=64):
@@ -165,3 +170,14 @@ def test_only_function_space_reduces_against_masses():
                  for n, line in enumerate(path.read_text().splitlines(), 1)
                  if reduction.search(line)]
     assert not offenders, "\n".join(offenders)
+
+
+@pytest.mark.parametrize("spec", ["lsv:0.25", "chebyshev:2"])
+def test_centring_check_is_relative_to_the_norm(spec):
+    m = builtin_map(spec)
+    nu = resolve_measure(m, m.default_grid(1024))
+    # centring 1e12*y leaves a mean of 1e-5 to 1e-4, roundoff of ||h||_2
+    require_centered(build_observable("1e12*y", m, nu).grid_function)
+    # a mean below 1e-6 may still be most of a small h
+    with pytest.raises(PreconditionError, match="not centered"):
+        require_centered(GridFunction(1e-9 * (nu.grid.nodes + 1.0), nu))

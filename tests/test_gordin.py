@@ -293,6 +293,22 @@ def test_coboundary_rejected_for_mixing_observable(doubling, doubling_nu):
     assert not res.is_coboundary
 
 
+@pytest.mark.parametrize("case", ["doubling", "lsv:0.25"])
+def test_coboundary_verdict_does_not_depend_on_the_scale(case, doubling,
+                                                         doubling_nu, lsv25,
+                                                         lsv25_1024):
+    # lsv:0.25/coboundary:lip1 at 1024 cells reads residual 0.95e-3 ||h||_2
+    if case == "doubling":
+        imap, nu, base = doubling, doubling_nu, "cos1"
+    else:
+        imap, nu, base = lsv25, lsv25_1024[0], "lip1"
+    for spec, verdict in (("coboundary:" + base, "true"), (base, "false")):
+        h = build_observable(spec, imap, nu).grid_function
+        for scale in (1e-9, 1e-3, 1.0, 1e3, 1e5):
+            res = coboundary_detect(imap, nu, h.with_values(scale * h.values))
+            assert res.verdict == verdict, (spec, scale, res.residual)
+
+
 def test_coboundary_sigma_consistency(doubling, doubling_nu):
     obs = build_observable("coboundary:cos1", doubling, doubling_nu)
     gk = sigma_green_kubo(doubling, doubling_nu, obs.grid_function)

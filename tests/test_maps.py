@@ -1,10 +1,12 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from ergolab import builtin_map, maps
-from ergolab.errors import ConfigurationError, ConvergenceError, DomainError
+from ergolab.errors import (ConfigurationError, ConvergenceError, DomainError,
+                            NumericalEscapeError)
 from ergolab.maps import _newton_inverse
 
 
@@ -151,6 +153,34 @@ def test_float_orbit_stays_in_domain():
     for _ in range(500):
         y = m.step(y)
         assert 0.0 <= y <= 1.0
+
+
+def test_step_raises_on_a_nan_output():
+    m = builtin_map("lsv:0.25")
+    nan = dataclasses.replace(m, forward=lambda y: np.where(y > 0.5, np.nan, y))
+    y = np.array([0.359, 0.7])
+    with pytest.raises(DomainError, match="outside the map domain"):
+        nan.step(y)
+    with pytest.raises(DomainError, match="outside the map domain"):
+        nan.step(y, np.ones(2, dtype=bool))
+
+
+def test_step_escape_raises_or_parks_in_the_mask():
+    # two escapes, past _ESCAPE_TOL on either side, and one roundoff excursion
+    out = np.array([0.25, 1.5, -1e-3, 1.0 + 1e-13])
+    m = dataclasses.replace(builtin_map("lsv:0.25"), forward=lambda y: out.copy())
+    y = np.full(4, 0.5)
+    with pytest.raises(NumericalEscapeError):
+        m.step(y)
+    alive = np.ones(4, dtype=bool)
+    assert m.step(y, alive).tolist() == [0.25, 0.5, 0.5, 1.0]
+    assert alive.tolist() == [True, False, False, True]
+
+
+def test_step_does_not_clip_its_input():
+    # lsv sends 1.5 to 2.0; a step that clipped its input first returned 1.0
+    with pytest.raises(NumericalEscapeError):
+        builtin_map("lsv:0.25").step([1.5])
 
 
 def test_default_grid_adapts_to_measure():

@@ -3,6 +3,7 @@ import dataclasses
 import multiprocessing
 import os
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from ergolab.errors import (
     PreconditionError,
 )
 from ergolab import montecarlo
+from ergolab.gordin import solve_poisson
 from ergolab.montecarlo import (
     _MAX_DROP_FRACTION, BATCH_SIZE, MIN_BURNIN, _batches, _groups, _start,
     _stepper, _streams,
@@ -261,6 +263,31 @@ def test_escaped_orbits_are_dropped_and_parked():
     assert np.array_equal(run.occupation, base.occupation[keep])
     # dropped orbits are parked at the midpoint and stay in the domain
     assert np.all(seen[0][list(escapes)] == 0.5)
+
+
+def test_burn_in_escape_is_dropped():
+    # the forward map's call 3 is a burn-in step: the escaped orbit must be
+    # dropped, not clipped onto the fixed point y = 1 and kept
+    m = builtin_map("lsv:0.25")
+    h = lambda y: y * (1.0 - y)
+    cfg = _cfg(**_DROP_CFG)
+    bad, _ = _overshooting(m, 3, {17: 2.0})
+    run = run_ensemble(bad, h, cfg)
+    keep = np.ones(cfg.samples, dtype=bool)
+    keep[17] = False
+    assert run.dropped == 1
+    assert np.array_equal(run.S, run_ensemble(m, h, cfg).S[keep])
+
+
+def test_only_maps_names_the_escape_tolerance():
+    # the domain policy of an orbit step lives in IntervalMap.step alone
+    src = Path(__file__).resolve().parents[1] / "src" / "ergolab"
+    offenders = [f"{path.name}:{n}: {line.strip()}"
+                 for path in sorted(src.glob("*.py"))
+                 if path.name != "maps.py"
+                 for n, line in enumerate(path.read_text().splitlines(), 1)
+                 if "_ESCAPE_TOL" in line]
+    assert not offenders, "\n".join(offenders)
 
 
 def test_roundoff_overshoot_is_clipped_not_dropped():
@@ -506,14 +533,17 @@ def test_green_kubo_requires_centered(doubling, doubling_nu):
 def test_solver_breakdown_is_a_convergence_error(spec, c):
     # a constant centred by its quadrature mean, which rounds apart here,
     # is a roundoff-level h on which a Krylov scalar of the Poisson solve
-    # vanishes: dot(r0, v) on doubling, rho on lsv
+    # vanishes: dot(r0, v) on doubling, rho on lsv.  Its mean is all of its
+    # norm, so the analyses reject it as not centred before they solve.
     imap = builtin_map(spec)
     nu = resolve_measure(imap, imap.default_grid(1024))
     v = np.full(1024, c)
     h = GridFunction(v - v @ nu.masses, nu)
     assert 0 < np.abs(h.values).max() < 1e-14
-    with pytest.raises(ConvergenceError, match="broke down"):
+    with pytest.raises(PreconditionError, match="not centered"):
         sigma_green_kubo(imap, nu, h)
+    with pytest.raises(ConvergenceError, match="broke down"):
+        solve_poisson(make_backend(imap, nu), h.values)
 
 
 def test_variance_growth_doubling():

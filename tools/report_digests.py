@@ -3,20 +3,22 @@ the reports byte-identical.
 
 Usage (from any directory): python3 tools/report_digests.py > digests.txt
 
-It runs every command on eleven map/observable pairs at one small seeded
+It runs every command on twelve map/observable pairs at one small seeded
 setting, from the checkout that holds this script (``PYTHONPATH=src``),
 each in a fresh temporary directory.  It prints one line per stdout and per
 ``--out`` file, skipping the ``*.meta.json`` timestamp sidecars:
 
     sha256 exit command map obs file
 
-Run it on two checkouts and ``diff`` the outputs.  It prints 271 lines
-and took 53 s on a 2-core Xeon host with Python 3.11.  The pairs cover
+Run it on two checkouts and ``diff`` the outputs.  It prints 295 lines
+and took 48 s on a 2-core Xeon host with Python 3.11.  The pairs cover
 every builtin, declared coboundaries, constants (``lsv:0.25``/``0``, and
 ``doubling``/``2*pi``, whose quadrature mean rounds apart from it), a
 small-scale observable without a CLT (``lsv:0.8``/``1e-7*y``), whose
-decay flags must not depend on the scale, and ``lsv:0.6``/``lip1`` past
-gamma = 1/2, where the resolvent solves take the most steps.
+decay flags must not depend on the scale, ``lsv:0.6``/``lip1`` past
+gamma = 1/2, where the resolvent solves take the most steps, and a
+large-scale coboundary (``doubling``/``coboundary:1000*cos(2*pi*y)``),
+whose coboundary verdict must not depend on the scale either.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ PAIRS = [
     ("doubling", "cos2"),
     ("doubling", "2*pi"),
     ("lsv:0.6", "lip1"),
+    ("doubling", "coboundary:1000*cos(2*pi*y)"),
 ]
 SETTING = ["--cells", "1024", "--samples", "5000", "--n", "512",
            "--seed", "11", "--threads", "2", "--m", "16"]
