@@ -19,12 +19,12 @@ platform can fork, each worker is a process started with the ``fork``
 context: a step makes a dozen or more numpy calls, and worker threads
 would hand the GIL over at every one of them, which on lsv made two
 threads slower than one.  The work (map, observable, configuration,
-sampler mode, checkpoints) is published in a module global before the
-pool starts, so the forked workers inherit it and an arbitrary observable
-callable needs no pickling; each worker returns only its group's arrays,
-merged in group order.  A lock keeps the global to one pool at a time.
-Without fork the same ``map`` runs on threads.  A single group runs in
-the calling thread.
+sampler mode, checkpoints) is the pool initializer's argument, which a
+forked worker inherits without pickling, so an arbitrary observable
+callable needs none; each worker returns only its group's arrays, merged
+in group order.  Without fork the groups run on threads, each calling
+``_run_group`` with the work bound in.  A single group runs in the
+calling thread.
 
 The doubling map gets a dedicated bit-queue mode: its floating-point
 orbits collapse to 0 within ~53 iterations, so the orbit is instead driven
@@ -41,11 +41,12 @@ S_n / sqrt(n) is the same for every absolutely continuous start
 start bias; at M = 50 000 lsv:0.25 orbits a 1000-step start lies within
 the KS noise floor of a 10 000-step one.
 
-Every mode runs through one accumulation loop: a mode supplies only its
-start (bit-queue words, inverse-CDF points or burned-in points), the map
-from its state to a point, and its advance step.  One run records terminal
-sums, FCLT functionals and variance-growth checkpoints together, so
-``ergolab verify`` simulates its ensemble once.
+Every mode runs through one accumulation loop over one generator,
+``_points``, which yields a group's orbit points at steps 0 .. n-1 and
+advances only between two of them: bit-queue states, or inverse-CDF or
+burned-in points stepped by ``IntervalMap.step``.  One run records
+terminal sums, FCLT functionals and variance-growth checkpoints together,
+so ``ergolab verify`` simulates its ensemble once.
 
 The occupation time counts, per orbit, the steps with S > 0 and with
 S < 0 in two uint8 counters, which add the comparisons' bools through
@@ -71,8 +72,8 @@ At full resolution the gap is ~1e-2 and the reference laws apply.
 
 from __future__ import annotations
 
+import functools
 import multiprocessing
-import threading
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence
@@ -103,8 +104,7 @@ MIN_BURNIN = 1000
 _FLUSH = 255  # steps that a uint8 occupation counter holds before a flush
 
 _FORK = "fork" in multiprocessing.get_all_start_methods()
-_WORK = None  # (imap, h, cfg, mode, cp) of the running pool, see run_ensemble
-_WORK_LOCK = threading.Lock()
+_WORK = None  # a forked worker's (imap, h, cfg, mode, cp), set by _publish
 
 
 @dataclass(frozen=True)
@@ -183,13 +183,30 @@ def _word(rng, size) -> np.ndarray:
     return rng.integers(0, 2**64, size=size, dtype=np.uint64)
 
 
-def _start(imap: IntervalMap, cfg: EnsembleConfig, mode: str, streams,
-           alive: Optional[np.ndarray] = None):
-    """A group's initial orbit states: bit-queue words, inverse-CDF points,
-    or points burned in from Lebesgue measure by ``IntervalMap.step``, which
-    marks an orbit that escapes dead in ``alive``."""
+def _points(imap: IntervalMap, cfg: EnsembleConfig, mode: str, streams,
+            alive: Optional[np.ndarray] = None):
+    """A group's orbit points at steps 0 .. n-1, with no step after the last.
+
+    The bit queue maps a 64-bit word to its point in [0, 1) and advances
+    by shifting in the top bit of a fresh random word, one word per orbit
+    drawn from each batch's stream at the first advance and every 64 after.
+    The point modes start from inverse-CDF points, or from Lebesgue points
+    burned in for ``cfg.burnin`` steps, and advance by ``IntervalMap.step``,
+    which marks an orbit that escapes the domain dead in ``alive``.
+    """
+    n = cfg.n
     if mode == "bit-queue":
-        return _draw(streams, _word)
+        one, top = np.uint64(1), np.uint64(63)
+        state = _draw(streams, _word)
+        yield state * 2.0**-64
+        for j in range(n - 1):
+            if j % 64 == 0:
+                word = _draw(streams, _word)
+            state <<= one
+            state |= word >> top
+            word <<= one
+            yield state * 2.0**-64
+        return
     a, b = imap.domain
     u = _draw(streams, lambda rng, size: rng.random(size))
     if mode == "inverse-cdf":
@@ -200,35 +217,10 @@ def _start(imap: IntervalMap, cfg: EnsembleConfig, mode: str, streams,
         raise DomainError("point outside the map domain")
     for _ in range(burnin):
         y = imap.step(y, alive)
-    return y
-
-
-def _stepper(imap: IntervalMap, mode: str):
-    """(point map, advance step) for the orbit states of a sampler mode.
-
-    The bit queue maps a 64-bit word to its point in [0, 1) and advances
-    by shifting in the top bit of a fresh random word, one word per orbit
-    drawn from each batch's stream every 64 steps.  Every other mode holds
-    points and advances by ``IntervalMap.step``, which marks an orbit that
-    escapes the domain dead in ``alive``.
-    """
-    if mode == "bit-queue":
-        one, top = np.uint64(1), np.uint64(63)
-        word, left = None, 0
-
-        def advance(state, streams, alive):
-            nonlocal word, left
-            if not left:
-                word, left = _draw(streams, _word), 64
-            state <<= one
-            state |= word >> top
-            word <<= one
-            left -= 1
-            return state
-
-        return (lambda state: state * 2.0**-64), advance
-
-    return (lambda y: y), (lambda y, streams, alive: imap.step(y, alive))
+    yield y
+    for _ in range(n - 1):
+        y = imap.step(y, alive)
+        yield y
 
 
 def _run_group(imap, h, cfg, mode, cp, group):
@@ -237,8 +229,6 @@ def _run_group(imap, h, cfg, mode, cp, group):
     streams = _streams(cfg, group)
     size = sum(hi - lo for _, _, lo, hi in group)
     alive = np.ones(size, dtype=bool)
-    state = _start(imap, cfg, mode, streams, alive)
-    point, advance = _stepper(imap, mode)
     n = cfg.n
     S = np.zeros(size)
     sup = np.zeros(size)
@@ -248,10 +238,10 @@ def _run_group(imap, h, cfg, mode, cp, group):
     above, below = np.empty(size, dtype=bool), np.empty(size, dtype=bool)
     above8, below8 = above.view(np.uint8), below.view(np.uint8)
     n_above, n_below = np.zeros(size, np.uint8), np.zeros(size, np.uint8)
-    cps = np.empty((size, len(cp))) if cp else None
+    cps = np.empty((size, len(cp)))
     cp_pos = {v: i for i, v in enumerate(cp)}
-    for j in range(n):
-        S += h(point(state))
+    for j, y in enumerate(_points(imap, cfg, mode, streams, alive)):
+        S += h(y)
         np.maximum(sup, S, out=sup)
         np.greater(S, 0.0, out=above)
         n_above += above8
@@ -264,27 +254,23 @@ def _run_group(imap, h, cfg, mode, cp, group):
             n_below[:] = 0
         if (j + 1) in cp_pos:
             cps[:, cp_pos[j + 1]] = S
-        if j + 1 < n:
-            state = advance(state, streams, alive)
     # a sum that turns NaN stays NaN, and sum(sign(S_k)) is NaN with it
     sgn[np.isnan(S)] = np.nan
     arrays = (S, sup, sgn, cps)
     dropped = int(size - alive.sum())
     if dropped:
-        arrays = tuple(None if x is None else x[alive] for x in arrays)
+        arrays = tuple(x[alive] for x in arrays)
     return dropped, arrays
 
 
-def _pool(workers: int):
-    """One process per worker, forked so that it inherits ``_WORK``, or
-    one thread per worker where the platform cannot fork."""
-    if _FORK:
-        return ProcessPoolExecutor(workers, multiprocessing.get_context("fork"))
-    return ThreadPoolExecutor(workers)
+def _publish(work):
+    """Pool initializer: a forked worker keeps the work it inherited."""
+    global _WORK
+    _WORK = work
 
 
 def _run_published(group):
-    """``_run_group`` on the work that ``run_ensemble`` published."""
+    """``_run_group`` on the work that ``_publish`` kept."""
     return _run_group(*_WORK, group)
 
 
@@ -293,21 +279,20 @@ class EnsembleRun:
     S: np.ndarray
     sup: np.ndarray
     occupation: np.ndarray
-    checkpoints: Optional[np.ndarray]
-    checkpoint_ns: Optional[List[int]]
+    checkpoints: np.ndarray  # (samples, len(checkpoint_ns))
+    checkpoint_ns: List[int]
     n: int
     dropped: int
 
     def variance_growth(self) -> List[tuple]:
         """(n, sqrt(mean(S_n^2) / n)) at each checkpoint."""
         return [(n, float(np.sqrt(np.mean(self.checkpoints[:, i]**2) / n)))
-                for i, n in enumerate(self.checkpoint_ns or [])]
+                for i, n in enumerate(self.checkpoint_ns)]
 
 
 def run_ensemble(imap: IntervalMap, h: Callable, cfg: EnsembleConfig,
                  checkpoints: Optional[Sequence[int]] = None) -> EnsembleRun:
     """Drive M orbits for n steps, accumulating Birkhoff prefix statistics."""
-    global _WORK
     mode = cfg.resolved_mode(imap)
     n = cfg.n
     cp = sorted(set(int(c) for c in checkpoints)) if checkpoints else []
@@ -316,28 +301,25 @@ def run_ensemble(imap: IntervalMap, h: Callable, cfg: EnsembleConfig,
 
     work = (imap, h, cfg, mode, cp)
     groups = _groups(cfg)
-    if len(groups) > 1:
-        with _WORK_LOCK:
-            _WORK = work
-            try:
-                with _pool(len(groups)) as ex:
-                    results = list(ex.map(_run_published, groups))
-            finally:
-                _WORK = None
-    else:
+    if len(groups) == 1:
         results = [_run_group(*work, groups[0])]
+    elif _FORK:
+        with ProcessPoolExecutor(len(groups), multiprocessing.get_context("fork"),
+                                 initializer=_publish, initargs=(work,)) as ex:
+            results = list(ex.map(_run_published, groups))
+    else:
+        with ThreadPoolExecutor(len(groups)) as ex:
+            results = list(ex.map(functools.partial(_run_group, *work), groups))
 
     dropped = sum(d for d, _ in results)
     if dropped > _MAX_DROP_FRACTION * cfg.samples:
         raise EnsembleRunError(
             f"{dropped}/{cfg.samples} orbits escaped the domain"
         )
-    S, sup, sgn, cps = (
-        None if col[0] is None else np.concatenate(col)
-        for col in zip(*(arrays for _, arrays in results))
-    )
+    S, sup, sgn, cps = (np.concatenate(col)
+                        for col in zip(*(arrays for _, arrays in results)))
     occ = ((n + sgn) * 0.5) / n
-    return EnsembleRun(S, sup, occ, cps, cp or None, n, dropped)
+    return EnsembleRun(S, sup, occ, cps, cp, n, dropped)
 
 
 @dataclass

@@ -177,10 +177,26 @@ def test_step_escape_raises_or_parks_in_the_mask():
     assert alive.tolist() == [True, False, False, True]
 
 
-def test_step_does_not_clip_its_input():
-    # lsv sends 1.5 to 2.0; a step that clipped its input first returned 1.0
-    with pytest.raises(NumericalEscapeError):
-        builtin_map("lsv:0.25").step([1.5])
+_BUILTIN_SPECS = ["doubling", "lsv:0.25", "manneville_pomeau:0.25",
+                  "chebyshev:2"]
+
+
+def test_builtin_specs_cover_every_builtin():
+    assert {builtin_map(s).name for s in _BUILTIN_SPECS} == set(maps._BUILDERS)
+
+
+@pytest.mark.parametrize("side", ["above", "below"])
+@pytest.mark.parametrize("spec", _BUILTIN_SPECS)
+def test_step_does_not_clip_its_input(spec, side):
+    # lsv sends 1.5 to 2.0, and chebyshev's arccos turns 1.5 into NaN; a map
+    # that clipped its input first returned a point of the domain.  Below 0,
+    # y**gamma is NaN for lsv and Manneville-Pomeau.
+    m = builtin_map(spec)
+    a, b = m.domain
+    y = b + 0.5 if side == "above" else a - 0.5
+    with np.errstate(invalid="ignore"), \
+            pytest.raises((DomainError, NumericalEscapeError)):
+        m.step([y])
 
 
 def test_default_grid_adapts_to_measure():

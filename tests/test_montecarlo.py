@@ -28,8 +28,8 @@ from ergolab.errors import (
 from ergolab import montecarlo
 from ergolab.gordin import solve_poisson
 from ergolab.montecarlo import (
-    _MAX_DROP_FRACTION, BATCH_SIZE, MIN_BURNIN, _batches, _groups, _start,
-    _stepper, _streams,
+    _MAX_DROP_FRACTION, BATCH_SIZE, MIN_BURNIN, _batches, _groups, _points,
+    _streams,
 )
 
 
@@ -102,9 +102,9 @@ def test_point_modes_deterministic_across_threads(spec):
         assert np.array_equal(runs[0].occupation, run.occupation)
     # one wide start equals the batches' starts drawn one at a time
     mode = cfg.resolved_mode(m)
-    per_batch = [_start(m, cfg, mode, _streams(cfg, [piece]))
+    per_batch = [next(_points(m, cfg, mode, _streams(cfg, [piece])))
                  for piece in _whole_batches(cfg)]
-    whole = _start(m, cfg, mode, _streams(cfg, _whole_batches(cfg)))
+    whole = next(_points(m, cfg, mode, _streams(cfg, _whole_batches(cfg))))
     assert np.array_equal(whole, np.concatenate(per_batch))
 
 
@@ -448,6 +448,30 @@ def test_checkpoints_and_paths_consistent():
     assert np.array_equal(run.occupation, bare.occupation)
 
 
+@pytest.mark.parametrize("threads", [1, 2])
+def test_run_without_checkpoints(threads):
+    run = run_ensemble(builtin_map("doubling"), lambda y: y,
+                       _cfg(samples=5000, threads=threads))
+    assert run.checkpoints.shape == (5000, 0)
+    assert run.checkpoint_ns == [] and run.variance_growth() == []
+
+
+@pytest.mark.parametrize("spec,burnin", [("lsv:0.25", MIN_BURNIN),
+                                         ("chebyshev:2", 0)])
+def test_no_step_after_the_last_point(spec, burnin):
+    # n points take burnin + n - 1 steps of the forward map
+    m = builtin_map(spec)
+    calls = [0]
+
+    def forward(y):
+        calls[0] += 1
+        return m.forward(y)
+
+    cfg = _cfg(samples=200, n=8, threads=1)
+    run_ensemble(dataclasses.replace(m, forward=forward), lambda y: y, cfg)
+    assert calls[0] == burnin + cfg.n - 1
+
+
 def test_zero_observable_occupation_convention():
     # S_n = 0 throughout; ties counted half keeps occupation unbiased
     m = builtin_map("doubling")
@@ -467,11 +491,9 @@ def test_sample_invariant_is_the_ensemble_start(spec):
     m = builtin_map(spec)
     cfg = _cfg(n=1, burnin=1000)
     mode = cfg.resolved_mode(m)
-    point, _ = _stepper(m, mode)
-    starts = [_start(m, cfg, mode, _streams(cfg, [piece]))
+    starts = [next(_points(m, cfg, mode, _streams(cfg, [piece])))
               for piece in _whole_batches(cfg)]
-    assert np.array_equal(_sample_invariant(m, cfg),
-                          point(np.concatenate(starts)))
+    assert np.array_equal(_sample_invariant(m, cfg), np.concatenate(starts))
 
 
 def test_sample_invariant_uniform():
