@@ -25,6 +25,7 @@ bounded ``memo`` of sweeps and resolvent families.
 from __future__ import annotations
 
 import hashlib
+import math
 from collections import OrderedDict
 
 import numpy as np
@@ -180,8 +181,8 @@ MAX_ITERATIONS = 1000  # BiCGSTAB steps (two matvecs each) per run
 
 
 def _finite(*values):
-    """Raise the breakdown error unless the per-shift arrays are finite."""
-    if not np.isfinite(values).all():
+    """Raise the breakdown error unless every scalar is finite."""
+    if not all(map(math.isfinite, values)):
         raise ConvergenceError("multi-shift BiCGSTAB broke down")
 
 
@@ -195,76 +196,85 @@ def _shifted_bicgstab(matvec, b: np.ndarray, shifts, tols, dot) -> np.ndarray:
     shift e is the seed's divided by zeta * tau, scalars that follow from
     the seed's: zeta continues the BiCG residual polynomial to e, and tau
     the stabilising one.  So the seed's two matvecs per step are the only
-    ones.  Shift i is dropped once its updated residual norm is at most
-    ``tols[i]`` (an array); a non-finite scalar is a breakdown."""
+    ones.  Each live shift is one record of Python-float scalars and its
+    direction, updated by one loop per half step: a few float operations
+    per shift, not NumPy calls on arrays of one entry per shift.  Shift i
+    is dropped once its updated residual norm is at most ``tols[i]``; a
+    non-finite scalar or a zero denominator is a breakdown."""
     seed = min(shifts)
-    sigma = np.asarray(shifts, dtype=float) - seed
-    x = np.zeros((sigma.size, b.size))
+    x = np.zeros((len(shifts), b.size))
 
     def seed_matvec(v):
         return (1.0 + seed) * v - matvec(v)
 
-    live = np.flatnonzero(np.sqrt(dot(b, b)) > tols)
-    # per live shift: the direction p^e, and the scalars zeta_(k-1), zeta_k
-    # and tau_k; the iterate x^e is its row of x
-    ps = [b.astype(float) for _ in live]
-    zeta_old, zeta, tau = np.ones((3, live.size))
+    b_norm = math.sqrt(dot(b, b))
+    # per live shift: its row of x (the iterate x^e), sigma = e - seed, its
+    # bound, the direction p^e and the scalars zeta_(k-1), zeta_k and tau_k
+    live = [[i, float(e - seed), float(tol), b.astype(float), 1.0, 1.0, 1.0]
+            for i, (e, tol) in enumerate(zip(shifts, tols)) if b_norm > tol]
     # the seed's s_k, r_(k+1) and r_k live in rows of basis; row 0 takes p^e
     basis = np.empty((4, b.size))
     s, r_new, r = basis[1:]
+    p_and_s = basis[:2]
     r[:] = b
     p, rho = b, dot(b, b)
     alpha_old, beta_old = 1.0, 0.0
     try:
         for _ in range(MAX_ITERATIONS):
-            sig, tol = sigma[live], tols[live]
             v = seed_matvec(p)
             alpha = rho / dot(b, v)
             np.subtract(r, alpha * v, out=s)
-            zeta_new = (zeta * (1.0 + alpha * sig)
-                        + alpha * beta_old / alpha_old * (zeta - zeta_old))
-            alpha_s = alpha * zeta / zeta_new
-            s_scale = 1.0 / (zeta_new * tau)  # s^e = s_scale * s
-            _finite(zeta_new, alpha_s, s_scale)  # alpha_s carries alpha
-            half = np.sqrt(dot(s, s)) * np.abs(s_scale) <= tol
-            for i in np.flatnonzero(half):  # converged at the half step
-                x[live[i]] += alpha_s[i] * ps[i]
-            if half.all():
+            s_norm = math.sqrt(dot(s, s))
+            c = alpha * beta_old / alpha_old
+            half = []  # per live shift: zeta_(k+1), alpha^e, s^e/s, converged
+            for row, sig, tol, pe, zeta_old, zeta, tau in live:
+                zeta_new = zeta * (1.0 + alpha * sig) + c * (zeta - zeta_old)
+                alpha_s = alpha * zeta / zeta_new
+                s_scale = 1.0 / (zeta_new * tau)  # s^e = s_scale * s
+                _finite(zeta_new, alpha_s, s_scale)  # alpha_s carries alpha
+                done = s_norm * abs(s_scale) <= tol
+                if done:  # converged at the half step
+                    x[row] += alpha_s * pe
+                half.append((zeta_new, alpha_s, s_scale, done))
+            if all(done for *_, done in half):
                 return x
             t = seed_matvec(s)
             omega = dot(t, s) / dot(t, t)
             np.subtract(s, omega * t, out=r_new)
             rho_new = dot(b, r_new)
             beta = rho_new / rho * (alpha / omega)
-            omega_s = omega / (1.0 + omega * sig)
-            tau_new = tau * (1.0 + omega * sig)
-            r_scale = 1.0 / (zeta_new * tau_new)  # r^e_(k+1) = r_scale*r_new
-            beta_s = beta * (zeta / zeta_new) ** 2
-            _finite(omega_s, beta_s, r_scale)  # they carry omega and beta
-            full = ~half & (np.sqrt(dot(r_new, r_new)) * np.abs(r_scale) <= tol)
-            # x^e += alpha^e p^e + omega^e s^e, and
-            # p^e <- r^e_(k+1) + beta^e (p^e - (omega^e / alpha^e)(r^e_k - s^e)),
-            # as combinations of the rows of basis
-            g = beta_s * omega_s / alpha_s
-            x_coef = np.column_stack([alpha_s, omega_s * s_scale])
-            p_coef = np.column_stack([beta_s, g * s_scale, r_scale,
-                                      -g / (zeta * tau)])
-            for i in np.flatnonzero(~half):
-                basis[0] = ps[i]
-                x[live[i]] += x_coef[i] @ basis[:2]
-                if not full[i]:
-                    np.matmul(p_coef[i], basis, out=ps[i])
-            keep = ~(half | full)
-            live, ps = live[keep], [q for q, k in zip(ps, keep) if k]
-            zeta_old, zeta, tau = zeta[keep], zeta_new[keep], tau_new[keep]
-            if not live.size:
+            r_norm = math.sqrt(dot(r_new, r_new))
+            kept = []
+            for shift, (zeta_new, alpha_s, s_scale, done) in zip(live, half):
+                row, sig, tol, pe, _, zeta, tau = shift
+                omega_s = omega / (1.0 + omega * sig)
+                tau_new = tau * (1.0 + omega * sig)
+                r_scale = 1.0 / (zeta_new * tau_new)  # r^e_(k+1)/r_(k+1)
+                q = zeta / zeta_new
+                beta_s = beta * (q * q)
+                _finite(omega_s, beta_s, r_scale)  # they carry omega and beta
+                if done:
+                    continue
+                # x^e += alpha^e p^e + omega^e s^e, and p^e <- r^e_(k+1)
+                # + beta^e (p^e - (omega^e / alpha^e)(r^e_k - s^e)), as
+                # combinations of the rows of basis
+                g = beta_s * omega_s / alpha_s
+                basis[0] = pe
+                x[row] += np.array([alpha_s, omega_s * s_scale]) @ p_and_s
+                if not r_norm * abs(r_scale) <= tol:
+                    np.matmul(np.array([beta_s, g * s_scale, r_scale,
+                                        -g / (zeta * tau)]), basis, out=pe)
+                    shift[4:] = zeta, zeta_new, tau_new
+                    kept.append(shift)
+            live = kept
+            if not live:
                 return x
             p = r_new + beta * (p - omega * v)
             r[:] = r_new
             rho, alpha_old, beta_old = rho_new, alpha, beta
     except ZeroDivisionError:
         raise ConvergenceError("multi-shift BiCGSTAB broke down") from None
-    missed = ", ".join(f"{shifts[i]:g}" for i in live)
+    missed = ", ".join(f"{shifts[shift[0]]:g}" for shift in live)
     raise ConvergenceError(f"multi-shift BiCGSTAB missed the residual bounds "
                            f"at {missed} within {MAX_ITERATIONS} iterations")
 

@@ -1,3 +1,4 @@
+import warnings
 from collections import OrderedDict
 
 import numpy as np
@@ -6,8 +7,10 @@ import pytest
 from ergolab import (
     GridFunction,
     QuadratureGrid,
+    build_observable,
     builtin_map,
     duality_residual,
+    gordin,
     invariant_density,
     lp_norm,
     make_backend,
@@ -114,6 +117,63 @@ def test_stationary_solve_failure_is_a_convergence_error(monkeypatch,
         UlamTransferOperator(m, m.default_grid(1024))
     assert main(["density", "--map", "lsv:0.6", "--cells", "1024"]) == 3
     assert "convergence error" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def lsv25_ulam_1024(lsv25):
+    """The lsv:0.25 Ulam operator at 1024 cells and its centred lip1."""
+    nu = resolve_measure(lsv25, lsv25.default_grid(1024))
+    op = make_backend(lsv25, nu)
+    assert op.kind == "ulam"
+    return op, build_observable("lip1", lsv25, nu).grid_function.values
+
+
+def test_shifts_do_not_couple(lsv25_ulam_1024):
+    # each shift's row depends on the seed's run and its own scalars only,
+    # so another shift in the same run leaves it byte-equal
+    op, h = lsv25_ulam_1024
+    b_norm = np.sqrt(transfer._dot(h * h, op.measure.masses))
+    tol = 1e-10 * b_norm
+    pair, _ = gordin._solve_shifted(op, h, (0.0, 2**-6), [tol] * 2)
+    triple, _ = gordin._solve_shifted(op, h, (0.0, 2**-3, 2**-6), [tol] * 3)
+    assert pair[0].tobytes() == triple[0].tobytes()
+    assert pair[1].tobytes() == triple[2].tobytes()
+    # a shift whose bound is already met by the zero start never goes live
+    for bound in (b_norm, 2 * b_norm):
+        skipped, residuals = gordin._solve_shifted(
+            op, h, (0.0, 2**-3, 2**-6), [tol, bound, tol])
+        assert not skipped[1].any()
+        assert residuals[1] == b_norm
+        assert skipped[0].tobytes() == pair[0].tobytes()
+        assert skipped[2].tobytes() == pair[1].tobytes()
+
+
+def _nan_from_call(k, matvec):
+    """``matvec``, returning NaN from its k-th call on."""
+    calls = []
+
+    def nan_matvec(v):
+        calls.append(1)
+        return np.full_like(v, np.nan) if len(calls) >= k else matvec(v)
+
+    return nan_matvec
+
+
+@pytest.mark.parametrize("case", ["nan-first", "nan-fifth", "zero-dot"])
+def test_breakdown_paths_are_one_error(case, lsv25_ulam_1024):
+    # a NaN scalar and a zero denominator are the same breakdown, raised
+    # without a NumPy warning, a NaN row or a ValueError/OverflowError
+    op, h = lsv25_ulam_1024
+    shifts = (0.0, 2**-3, 2**-6)
+    matvec = {"nan-first": _nan_from_call(1, op.apply),
+              "nan-fifth": _nan_from_call(5, op.apply),
+              # (1 + seed) I - A is then zero, so dot(b, v) == 0
+              "zero-dot": lambda v: (1.0 + min(shifts)) * v}[case]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ConvergenceError, match="broke down"):
+            transfer._solve_shifted(matvec, h, shifts, [1e-12] * 3,
+                                    transfer._dot)
 
 
 def test_resolve_measure_keeps_its_grid():
