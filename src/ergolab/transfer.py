@@ -261,7 +261,7 @@ def _shifted_bicgstab(matvec, b: np.ndarray, shifts, tols, dot) -> np.ndarray:
                 g = beta_s * omega_s / alpha_s
                 basis[0] = pe
                 x[row] += np.array([alpha_s, omega_s * s_scale]) @ p_and_s
-                if not r_norm * abs(r_scale) <= tol:
+                if not r_norm * abs(r_scale) <= tol:  # NaN stays live
                     np.matmul(np.array([beta_s, g * s_scale, r_scale,
                                         -g / (zeta * tau)]), basis, out=pe)
                     shift[4:] = zeta, zeta_new, tau_new
