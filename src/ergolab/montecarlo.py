@@ -183,13 +183,31 @@ def _word(rng, size) -> np.ndarray:
     return rng.integers(0, 2**64, size=size, dtype=np.uint64)
 
 
+def _fraction(state: np.ndarray) -> np.ndarray:
+    """``state * 2.0**-64`` bit for bit, from the word's two 32-bit halves.
+
+    numpy's uint64 -> float64 cast is several times slower than an int64
+    one on random words.  Each half is below 2**32, so its cast is exact and
+    its top bit clear; the power-of-two scalings are exact; and the one
+    rounding of the exact sum ``state * 2**-64`` is the product's."""
+    y = (state >> np.uint64(32)).astype(float)
+    y *= 2.0**-32
+    lo = (state & np.uint64(0xFFFFFFFF)).astype(float)
+    lo *= 2.0**-64
+    y += lo
+    return y
+
+
 def _points(imap: IntervalMap, cfg: EnsembleConfig, mode: str, streams,
             alive: Optional[np.ndarray] = None):
     """A group's orbit points at steps 0 .. n-1, with no step after the last.
 
-    The bit queue maps a 64-bit word to its point in [0, 1) and advances
-    by shifting in the top bit of a fresh random word, one word per orbit
-    drawn from each batch's stream at the first advance and every 64 after.
+    The bit queue's point is its 64-bit window times 2**-64, rounded once
+    to nearest and computed from the window's two exact halves
+    (``_fraction``).  It lies in [0, 1]: a window at or above 2**64 - 2**10
+    gives 1.0.  The queue advances by shifting in the top bit of a fresh
+    random word, one word per orbit drawn from each batch's stream at the
+    first advance and every 64 after.
     The point modes start from inverse-CDF points, or from Lebesgue points
     burned in for ``cfg.burnin`` steps, and advance by ``IntervalMap.step``,
     which marks an orbit that escapes the domain dead in ``alive``.
@@ -198,14 +216,14 @@ def _points(imap: IntervalMap, cfg: EnsembleConfig, mode: str, streams,
     if mode == "bit-queue":
         one, top = np.uint64(1), np.uint64(63)
         state = _draw(streams, _word)
-        yield state * 2.0**-64
+        yield _fraction(state)
         for j in range(n - 1):
             if j % 64 == 0:
                 word = _draw(streams, _word)
             state <<= one
             state |= word >> top
             word <<= one
-            yield state * 2.0**-64
+            yield _fraction(state)
         return
     a, b = imap.domain
     u = _draw(streams, lambda rng, size: rng.random(size))

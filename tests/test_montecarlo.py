@@ -28,8 +28,8 @@ from ergolab.errors import (
 from ergolab import montecarlo
 from ergolab.gordin import solve_poisson
 from ergolab.montecarlo import (
-    _MAX_DROP_FRACTION, BATCH_SIZE, MIN_BURNIN, _batches, _groups, _points,
-    _streams,
+    _MAX_DROP_FRACTION, BATCH_SIZE, MIN_BURNIN, _batches, _fraction, _groups,
+    _points, _streams,
 )
 
 
@@ -182,13 +182,48 @@ def _word_stream_points(cfg):
         yield np.concatenate([steps[j] for steps in batches])
 
 
+def _bits(y):
+    return np.asarray(y, dtype=float).view(np.uint64)
+
+
+def test_fraction_equals_the_uint64_product():
+    rng = np.random.default_rng(29)
+    words = [rng.integers(0, 2**64, size=5 * 10**6, dtype=np.uint64)]
+    # round-to-nearest-even ties and their neighbours: a 53-bit head with
+    # low 11 bits just below, at and above half an ulp of the product
+    heads = rng.integers(0, 2**53, size=10**5, dtype=np.uint64) << np.uint64(11)
+    words += [heads | np.uint64(low)
+              for low in (0, 1, 0x3FF, 0x400, 0x401, 0x7FF)]
+    edges = [0, 1, 2, 3, 2**53 + 1, 2**54 + 3, 2**63 - 1, 2**63,
+             2**64 - 1025, 2**64 - 1024, 2**64 - 1]
+    words.append(np.array(edges, dtype=np.uint64))
+    for w in words:
+        assert np.array_equal(_bits(_fraction(w)), _bits(w * 2.0**-64))
+    last = _fraction(np.array([2**64 - 1025, 2**64 - 1], dtype=np.uint64))
+    assert np.array_equal(_bits(last), _bits([1.0 - 2.0**-53, 1.0]))
+
+
 @pytest.mark.parametrize("threads", [1, 3])
 def test_bit_queue_word_stream(threads):
     # n = 130 crosses two refill boundaries and 9000 samples leave an
-    # uneven last batch
+    # uneven last batch.  Each group runs in this process with an observable
+    # that records a copy of its points; step j of the groups, joined in
+    # group order, equals the rebuilt step j byte for byte
     cfg = _cfg(samples=9000, n=130, threads=threads)
-    run = run_ensemble(builtin_map("doubling"), lambda y: y, cfg)
-    assert np.array_equal(run.S, sum(_word_stream_points(cfg)))
+    imap = builtin_map("doubling")
+    recorded = []
+    for group in _groups(cfg):
+        steps = []
+        montecarlo._run_group(imap, lambda y: steps.append(y.copy()) or y,
+                              cfg, "bit-queue", [], group)
+        recorded.append(steps)
+    points = list(_word_stream_points(cfg))
+    assert [len(steps) for steps in recorded] == [cfg.n] * len(recorded)
+    for j, y in enumerate(points):
+        joined = np.concatenate([steps[j] for steps in recorded])
+        assert np.array_equal(_bits(joined), _bits(y)), j
+    run = run_ensemble(imap, lambda y: y, cfg)
+    assert np.array_equal(run.S, sum(points))
 
 
 # n = 600 crosses two 255-step flushes of the uint8 occupation counters
