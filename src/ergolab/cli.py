@@ -7,8 +7,12 @@ Reports are byte-identical across reruns with the same config and seed:
 JSON keys are sorted, floats use repr, and timestamps live only in the
 ``*.meta.json`` sidecar files.
 
-``verify`` and ``report`` simulate one seeded ensemble; the variance-growth
-estimate and the CLT/FCLT tests all read that run.
+``main`` sets up every command from the handler table ``_COMMANDS``,
+emits the report a handler returns, and exits 5 on a false verdict.  Every
+ensemble command (``sigma``, ``clt``, ``fclt``, ``verify``, ``report``) runs
+one Green-Kubo solve and one seeded ensemble with variance-growth
+checkpoints; the variance-growth estimate and the CLT/FCLT tests all read
+that run.
 """
 
 from __future__ import annotations
@@ -19,7 +23,6 @@ import json
 import os
 import sys
 from pathlib import Path
-from typing import Optional
 
 from . import __version__
 from .decay import MIN_CLASSIFY_N, decay_report
@@ -31,17 +34,15 @@ from .errors import (
     InvalidInputError,
     ParameterError,
 )
-from .function_space import lp_norm
+from .function_space import _table, lp_norm
 from .gordin import coboundary_detect, gordin_decompose
 from .maps import builtin_map
 from .montecarlo import (
     MIN_BURNIN,
     EnsembleConfig,
-    EnsembleRun,
     PathEnsemble,
     run_ensemble,
     sigma_green_kubo,
-    sigma_variance_growth,
 )
 from .observables import build_observable
 from .stats import clt_test, fclt_test
@@ -76,27 +77,27 @@ def _load_config(path: str) -> dict:
 _FLAGS = {
     "map": (str, None, "map spec NAME[:PARAM], e.g. lsv:0.25"),
     "obs": (str, None, "observable spec (builtin or expression)"),
-    "cells": (int, 4096, None),
+    "cells": (int, 4096, "quadrature grid cells"),
     "n": (int, 4096, "Birkhoff sum length"),
     "n_max": (int, 64, "decay sequence length"),
-    "samples": (int, 100_000, None),
-    "burnin": (int, MIN_BURNIN, None),
-    "seed": (int, None, None),
+    "samples": (int, 100_000, "ensemble size (orbits)"),
+    "burnin": (int, MIN_BURNIN, "burn-in steps of orbits that start from "
+               f"Lebesgue measure (at least {MIN_BURNIN})"),
+    "seed": (int, None, "master seed, required for ensemble commands"),
     # the CPUs this process may run on, not the host's count
     "threads": (int, (len(os.sched_getaffinity(0))
                       if hasattr(os, "sched_getaffinity")
-                      else os.cpu_count() or 1), None),
-    "m": (int, 64, "path grid resolution for FCLT tests"),
+                      else os.cpu_count() or 1),
+                "ensemble workers; reports do not depend on it"),
+    "m": (int, 64, "FCLT path grid resolution; it changes no report"),
     "out": (str, None, "output directory"),
     "config": (str, None, "flat key=value config file; flags override"),
 }
 
 
-def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
+def _merge_config(args: argparse.Namespace):
     """Config file supplies defaults; explicit flags win."""
-    if not args.config:
-        return args
-    cfg = _load_config(args.config)
+    cfg = _load_config(args.config) if args.config else {}
     for key, value in cfg.items():
         if key not in _FLAGS or key == "config":
             raise ConfigurationError(f"unknown config key {key!r}")
@@ -106,27 +107,28 @@ def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
             except ValueError:
                 raise ConfigurationError(
                     f"config key {key!r} needs an integer, got {value!r}") from None
-    return args
 
 
-def _emit(args, name: str, payload: dict, csv_files: Optional[dict] = None):
-    """Print the JSON report; mirror it (plus CSV/dat data) into --out."""
-    payload = {"schema": SCHEMA, **payload}
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+def _json(obj) -> str:
+    """Sorted, indented JSON; result objects serialise by their ``to_json``."""
+    return json.dumps(obj, sort_keys=True, indent=2,
+                      default=lambda result: result.to_json()) + "\n"
+
+
+def _emit(args, name: str, payload: dict, files: dict):
+    """Print the JSON report; mirror it, a timestamp sidecar and the data
+    ``files`` into --out."""
+    text = _json({"schema": SCHEMA, **payload})
     sys.stdout.write(text)
     if args.out:
+        meta = {"command": name, "version": __version__,
+                "generated_at": datetime.datetime.now(
+                    datetime.timezone.utc).isoformat()}
         outdir = Path(args.out)
         outdir.mkdir(parents=True, exist_ok=True)
-        (outdir / f"{name}.json").write_text(text)
-        meta = {
-            "command": name,
-            "generated_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-            "version": __version__,
-        }
-        (outdir / f"{name}.meta.json").write_text(
-            json.dumps(meta, sort_keys=True, indent=2) + "\n"
-        )
-        for fname, content in (csv_files or {}).items():
+        for fname, content in {f"{name}.json": text,
+                               f"{name}.meta.json": _json(meta),
+                               **files}.items():
             (outdir / fname).write_text(content)
 
 
@@ -136,12 +138,19 @@ def _require(args, *names):
             raise ConfigurationError(f"--{name} is required for this command")
 
 
-def _setup(args, need_obs: bool = True, ensemble: bool = False):
-    """Map, measure, observable and ensemble config; flags are checked first."""
+def _n_schedule(n: int) -> list:
+    """The variance-growth checkpoints n/16, n/8, ..., n."""
+    return sorted({max(1, n // 2**k) for k in range(4, -1, -1)})
+
+
+def _setup(args, need_obs: bool, ensemble: bool) -> tuple:
+    """The handler's inputs: map, measure and observable (None unless
+    ``need_obs``), then, for an ``ensemble`` command, the Green-Kubo result
+    and the ensemble run at the ``_n_schedule`` checkpoints.  Every flag is
+    checked before any operator work."""
     imap = builtin_map(args.map)
     if need_obs:
         _require(args, "obs")
-    cfg = None
     if ensemble:
         _require(args, "seed")
         cfg = EnsembleConfig(samples=args.samples, n=args.n, seed=args.seed,
@@ -149,80 +158,55 @@ def _setup(args, need_obs: bool = True, ensemble: bool = False):
         cfg.resolved_mode(imap)  # the burn-in floor
     nu = resolve_measure(imap, imap.default_grid(args.cells))
     obs = build_observable(args.obs, imap, nu) if need_obs else None
-    return imap, nu, obs, cfg
+    if not ensemble:
+        return imap, nu, obs
+    return (imap, nu, obs, sigma_green_kubo(imap, nu, obs.grid_function),
+            run_ensemble(imap, obs, cfg, checkpoints=_n_schedule(args.n)))
 
 
-def _n_schedule(n: int) -> list:
-    """The variance-growth checkpoints n/16, n/8, ..., n."""
-    return sorted({max(1, n // 2**k) for k in range(4, -1, -1)})
+def _density_files(nu) -> dict:
+    """density.csv, and density.dat with one "node value" line per node."""
+    return {"density.csv": nu.to_csv(),
+            "density.dat": _table("", nu.grid.nodes, nu.values, sep=" ")}
 
 
-def _density_dat(nu) -> str:
-    """density.dat: one "node value" line per grid node."""
-    return "".join(f"{x!r} {v!r}\n"
-                   for x, v in zip(nu.grid.nodes.tolist(), nu.values.tolist()))
+def _decay_dat(decay) -> str:
+    """decay.dat: one "n l1 l2 cesaro" line per n."""
+    return _table("", range(1, decay.l2.size + 1), decay.l1, decay.l2,
+                  decay.cesaro, sep=" ")
 
 
-def _decay_dat(decay: dict) -> str:
-    """decay.dat from a decay report's JSON: one "n l1 l2 cesaro" line per n."""
-    rows = zip(decay["l1"], decay["l2"], decay["cesaro"])
-    return "".join(f"{n} {float(l1)!r} {float(l2)!r} {float(c)!r}\n"
-                   for n, (l1, l2, c) in enumerate(rows, 1))
+def cmd_density(args, imap, nu, obs):
+    payload = {"map": imap.label, "cells": args.cells, "measure": nu.name,
+               "closed_form": nu.closed_form,
+               "total_mass": float(nu.masses.sum())}
+    return payload, _density_files(nu)
 
 
-def cmd_density(args) -> int:
-    imap, nu, _, _ = _setup(args, need_obs=False)
-    payload = {
-        "map": imap.label,
-        "cells": args.cells,
-        "measure": nu.name,
-        "closed_form": nu.closed_form,
-        "total_mass": float(nu.masses.sum()),
-    }
-    _emit(args, "density", payload,
-          {"density.csv": nu.to_csv(), "density.dat": _density_dat(nu)})
-    return EXIT_OK
-
-
-def cmd_decay(args) -> int:
-    imap, nu, obs, _ = _setup(args)
+def cmd_decay(args, imap, nu, obs):
     report = decay_report(imap, nu, obs.grid_function, observable=args.obs,
                           n_max=args.n_max)
-    payload = report.to_json()
-    _emit(args, "decay", payload,
-          {"decay.csv": report.to_csv(), "decay.dat": _decay_dat(payload)})
-    return EXIT_OK
+    return report.to_json(), {"decay.csv": report.to_csv(),
+                              "decay.dat": _decay_dat(report)}
 
 
-def cmd_gordin(args) -> int:
-    imap, nu, obs, _ = _setup(args)
+def cmd_gordin(args, imap, nu, obs):
     gd = gordin_decompose(imap, nu, obs.grid_function)
     payload = {"map": imap.label, "observable": args.obs, **gd.to_json()}
-    _emit(args, "gordin", payload,
-          {"martingale_part.csv": gd.h_tilde.to_csv()})
-    return EXIT_OK
+    return payload, {"martingale_part.csv": gd.h_tilde.to_csv()}
 
 
-def cmd_sigma(args) -> int:
-    imap, nu, obs, cfg = _setup(args, ensemble=True)
-    h = obs.grid_function
-    gk = sigma_green_kubo(imap, nu, h)
-    vg = sigma_variance_growth(imap, obs, _n_schedule(args.n), cfg)
-    gd = gordin_decompose(imap, nu, h)
-    payload = {
-        "map": imap.label,
-        "observable": args.obs,
-        "green_kubo": gk.to_json(),
-        "variance_growth": [{"n": n, "sigma": s} for n, s in vg],
-        "martingale_norm": gd.sigma_mart,
-    }
-    _emit(args, "sigma", payload)
-    return EXIT_OK
+def cmd_sigma(args, imap, nu, obs, gk, run):
+    gd = gordin_decompose(imap, nu, obs.grid_function)
+    return {"map": imap.label, "observable": args.obs, "green_kubo": gk,
+            "variance_growth": [{"n": n, "sigma": s}
+                                for n, s in run.variance_growth()],
+            "martingale_norm": gd.sigma_mart}, {}
 
 
-def _limit_tests(args, imap, nu, obs, run: EnsembleRun, sigma_values: dict,
-                 with_fclt: bool):
-    """CLT test, and FCLT tests when asked and sigma > 0, over one run.
+def _limit_tests(args, imap, nu, obs, run, sigma_values: dict):
+    """The CLT test over one run, and the FCLT tests too when sigma > 0,
+    except for ``clt``.
 
     A declared or near-zero-sigma observable goes to coboundary detection
     first; a detected coboundary takes the degenerate test (sigma = 0).
@@ -238,7 +222,7 @@ def _limit_tests(args, imap, nu, obs, run: EnsembleRun, sigma_values: dict,
             sigma = 0.0
     tests = [clt_test(run.S, run.n, sigma, h_l2=h_l2)]
     paths = None
-    if with_fclt and sigma > 0:
+    if args.command != "clt" and sigma > 0:
         paths = PathEnsemble.from_run(run, sigma, args.m)
         tests += fclt_test(paths)
     report = {"map": imap.label, "observable": args.obs, "tests": tests,
@@ -247,61 +231,48 @@ def _limit_tests(args, imap, nu, obs, run: EnsembleRun, sigma_values: dict,
     return report, paths, coboundary
 
 
-def cmd_limit_tests(args) -> int:
+def cmd_limit_tests(args, imap, nu, obs, gk, run):
     """``clt`` (the CLT test) and ``fclt`` (the CLT and FCLT tests)."""
-    imap, nu, obs, cfg = _setup(args, ensemble=True)
-    gk = sigma_green_kubo(imap, nu, obs.grid_function)
-    run = run_ensemble(imap, obs, cfg)
     report, paths, _ = _limit_tests(args, imap, nu, obs, run,
-                                    {"green_kubo": gk.sigma},
-                                    with_fclt=args.command == "fclt")
-    csv_files = {"fclt_functionals.csv": paths.functionals_csv()} if paths else None
-    _emit(args, args.command, report, csv_files)
-    return EXIT_OK if report["verdict"] else EXIT_VERIFY
+                                    {"green_kubo": gk.sigma})
+    return report, ({"fclt_functionals.csv": paths.functionals_csv()}
+                    if paths else {})
 
 
-def _verify_payload(args, imap, nu, obs, cfg) -> dict:
-    """Decay, Gordin, sigma estimates and limit tests; the variance-growth
-    estimate and the limit tests read one ensemble run."""
+def cmd_verify(args, imap, nu, obs, gk, run):
+    """Decay, Gordin, sigma estimates and the CLT and FCLT tests."""
     h = obs.grid_function
-    decay = decay_report(imap, nu, h, observable=args.obs, n_max=args.n_max)
     gd = gordin_decompose(imap, nu, h)
-    gk = sigma_green_kubo(imap, nu, h)
-    run = run_ensemble(imap, obs, cfg, checkpoints=_n_schedule(args.n))
-    sigma_values = {
-        "green_kubo": gk.sigma,
-        "variance_growth": run.variance_growth()[-1][1],
-        "martingale_norm": gd.sigma_mart,
-    }
+    sigma_values = {"green_kubo": gk.sigma,
+                    "variance_growth": run.variance_growth()[-1][1],
+                    "martingale_norm": gd.sigma_mart}
     payload, _, coboundary = _limit_tests(args, imap, nu, obs, run,
-                                          sigma_values, with_fclt=True)
-    payload["decay"] = decay.to_json()
-    payload["gordin"] = gd.to_json()
-    payload["coboundary"] = coboundary.to_json() if coboundary else None
-    payload["h_l2"] = lp_norm(h, 2)
-    return payload
+                                          sigma_values)
+    payload.update(decay=decay_report(imap, nu, h, observable=args.obs,
+                                      n_max=args.n_max),
+                   gordin=gd, coboundary=coboundary, h_l2=lp_norm(h, 2))
+    return payload, {}
 
 
-def cmd_verify(args) -> int:
-    payload = _verify_payload(args, *_setup(args, ensemble=True))
-    _emit(args, "verify", payload)
-    return EXIT_OK if payload["verdict"] else EXIT_VERIFY
+def cmd_report(args, imap, nu, obs, gk, run):
+    """``verify``'s report with the density block, and the data files."""
+    payload, _ = cmd_verify(args, imap, nu, obs, gk, run)
+    payload["density"] = {"measure": nu.name, "closed_form": nu.closed_form}
+    return payload, {**_density_files(nu),
+                     "decay.dat": _decay_dat(payload["decay"])}
 
 
-def cmd_report(args) -> int:
-    """Everything at once: density, decay, sigma, verification."""
-    imap, nu, obs, cfg = _setup(args, ensemble=True)
-    payload = _verify_payload(args, imap, nu, obs, cfg)
-    payload["density"] = {
-        "measure": nu.name,
-        "closed_form": nu.closed_form,
-    }
-    _emit(args, "report", payload, {
-        "density.csv": nu.to_csv(),
-        "density.dat": _density_dat(nu),
-        "decay.dat": _decay_dat(payload["decay"]),
-    })
-    return EXIT_OK if payload["verdict"] else EXIT_VERIFY
+# command -> (handler, needs an observable, runs the ensemble step)
+_COMMANDS = {
+    "density": (cmd_density, False, False),
+    "decay": (cmd_decay, True, False),
+    "gordin": (cmd_gordin, True, False),
+    "sigma": (cmd_sigma, True, True),
+    "clt": (cmd_limit_tests, True, True),
+    "fclt": (cmd_limit_tests, True, True),
+    "verify": (cmd_verify, True, True),
+    "report": (cmd_report, True, True),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -311,19 +282,8 @@ def build_parser() -> argparse.ArgumentParser:
                     "for interval maps",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    handlers = {
-        "density": cmd_density,
-        "decay": cmd_decay,
-        "gordin": cmd_gordin,
-        "sigma": cmd_sigma,
-        "clt": cmd_limit_tests,
-        "fclt": cmd_limit_tests,
-        "verify": cmd_verify,
-        "report": cmd_report,
-    }
-    for name, fn in handlers.items():
+    for name in _COMMANDS:
         p = sub.add_parser(name)
-        p.set_defaults(handler=fn)
         # default None marks a flag not given, so a config file may set it
         for key, (kind, _, text) in _FLAGS.items():
             p.add_argument("--" + key.replace("_", "-"), type=kind,
@@ -332,10 +292,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Set up, run and emit one command; a false verdict exits 5."""
+    args = build_parser().parse_args(argv)
     try:
-        args = _merge_config(args)
+        _merge_config(args)
         for key, (_, default, _) in _FLAGS.items():
             if getattr(args, key) is None:
                 setattr(args, key, default)
@@ -344,7 +304,10 @@ def main(argv=None) -> int:
                                    ("--n-max", args.n_max, MIN_CLASSIFY_N)):
             if value < floor:
                 raise ConfigurationError(f"{flag} must be >= {floor}, got {value}")
-        return args.handler(args)
+        handler, need_obs, ensemble = _COMMANDS[args.command]
+        payload, files = handler(args, *_setup(args, need_obs, ensemble))
+        _emit(args, args.command, payload, files)
+        return EXIT_OK if payload.get("verdict", True) else EXIT_VERIFY
     except (ConfigurationError, ParameterError, InvalidInputError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

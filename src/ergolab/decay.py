@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import FitError, PreconditionError
-from .function_space import GridFunction, MeasureDensity, weighted_norm
+from .function_space import GridFunction, MeasureDensity, _table, weighted_norm
 from .maps import IntervalMap
 from .transfer import _backend_for, _memo
 
@@ -134,10 +134,8 @@ class DecayReport:
         }
 
     def to_csv(self) -> str:
-        rows = zip(self.l1.tolist(), self.l2.tolist(), self.cesaro.tolist())
-        return "n,l1,l2,cesaro\n" + "".join(
-            f"{n},{l1!r},{l2!r},{c!r}\n" for n, (l1, l2, c) in enumerate(rows, 1)
-        )
+        return _table("n,l1,l2,cesaro", range(1, self.l2.size + 1), self.l1,
+                      self.l2, self.cesaro)
 
 
 def _plateau(seq: np.ndarray) -> tuple:

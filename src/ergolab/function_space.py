@@ -165,8 +165,8 @@ class MeasureDensity:
         return cls(grid, values, masses, name=name)
 
     def to_csv(self) -> str:
-        return (f"# measure={self.name} normalized=True\n"
-                + _node_value_csv(self.grid.nodes, self.values))
+        return _table(f"# measure={self.name} normalized=True\nnode,value",
+                      self.grid.nodes, self.values)
 
 
 @dataclass(frozen=True)
@@ -203,23 +203,25 @@ class GridFunction:
         return (1 - t) * self.values[j] + t * self.values[j + 1]
 
     def to_csv(self) -> str:
-        return _node_value_csv(self.grid.nodes, self.values)
+        return _table("node,value", self.grid.nodes, self.values)
 
 
-def _node_value_csv(nodes, values) -> str:
-    """A "node,value" header and one line of plain float reprs per node."""
-    return "node,value\n" + "".join(
-        f"{x!r},{v!r}\n" for x, v in zip(nodes.tolist(), values.tolist())
-    )
+def _table(header: str, *columns, sep: str = ",") -> str:
+    """The ``header`` line, none if it is empty, then one line per row of
+    ``columns`` (arrays or sequences of equal length): the reprs of plain
+    ints and floats, joined by ``sep``."""
+    rows = zip(*(c.tolist() if isinstance(c, np.ndarray) else c
+                 for c in columns))
+    return (header + "\n" if header else "") + "".join(
+        sep.join(map(repr, row)) + "\n" for row in rows)
 
 
-def _check_compatible(f: GridFunction, g: GridFunction):
-    """Raise unless f and g share a grid and a measure, or equal masses."""
-    if not f.grid.same_as(g.grid) or (
-        f.measure is not g.measure
-        and not np.array_equal(f.measure.masses, g.measure.masses)
-    ):
-        raise IncompatibleGridsError("grid functions are not compatible")
+def _check_compatible(mu: MeasureDensity, nu: MeasureDensity):
+    """Raise unless mu is nu, or the two share a grid and equal masses."""
+    if mu is not nu and not (mu.grid.same_as(nu.grid)
+                             and np.array_equal(mu.masses, nu.masses)):
+        raise IncompatibleGridsError(
+            f"measures {mu.name} and {nu.name} are not compatible")
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> float:
@@ -258,5 +260,5 @@ def lp_norm(f: GridFunction, p) -> float:
 
 def inner_product(f: GridFunction, g: GridFunction) -> float:
     """Quadrature of f*g against the shared measure."""
-    _check_compatible(f, g)
+    _check_compatible(f.measure, g.measure)
     return _dot(f.values * g.values, f.measure.masses)

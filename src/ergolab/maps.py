@@ -49,6 +49,7 @@ neither by the step nor by a builtin forward map.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional
@@ -306,8 +307,10 @@ _BUILDERS = {
 }
 
 
+@functools.lru_cache(maxsize=32)
 def builtin_map(spec: str) -> IntervalMap:
-    """Construct a registered map from its spec NAME[:PARAM], e.g. "lsv:0.5"."""
+    """The registered map of the spec NAME[:PARAM], e.g. "lsv:0.5": one
+    shared object per spec, so that repeated specs share cached operators."""
     name, colon, text = spec.partition(":")
     if name not in _BUILDERS:
         raise ConfigurationError(f"unknown map {name!r}")

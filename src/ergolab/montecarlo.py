@@ -83,7 +83,7 @@ import numpy as np
 from .errors import (
     ConfigurationError, DomainError, EnsembleRunError, PreconditionError,
 )
-from .function_space import GridFunction, MeasureDensity, _dot
+from .function_space import GridFunction, MeasureDensity, _dot, _table
 from .gordin import solve_poisson
 from .maps import IntervalMap, _inside
 from .transfer import _backend_for
@@ -402,8 +402,6 @@ class PathEnsemble:
         )
 
     def functionals_csv(self) -> str:
-        rows = zip(self.sup.tolist(), self.terminal.tolist(),
-                   self.occupation.tolist())
-        return "sample_index,sup,terminal,occupation\n" + "".join(
-            f"{i},{s!r},{t!r},{o!r}\n" for i, (s, t, o) in enumerate(rows)
-        )
+        return _table("sample_index,sup,terminal,occupation",
+                      range(self.sup.size), self.sup, self.terminal,
+                      self.occupation)

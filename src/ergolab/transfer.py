@@ -17,9 +17,10 @@ Two interchangeable backends realize the transfer operator:
   default for maps without a closed-form invariant density.
 
 Every linear solve, Ulam's stationary vector and ``gordin``'s resolvents,
-runs one Krylov engine, ``_solve_shifted``.  One bounded LRU keyed on
-content caches the operators of both backends, and each operator keeps a
-bounded ``memo`` of sweeps and resolvent families.
+runs one Krylov engine, ``_solve_shifted``.  One bounded LRU, keyed on
+the map object and on the grid's or measure's content, caches the
+operators of both backends, and each operator keeps a bounded ``memo`` of
+sweeps and resolvent families.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from .errors import (
     PreconditionError,
 )
 from .function_space import (GridFunction, MeasureDensity, QuadratureGrid,
-                             _dot, require_centered)
+                             _check_compatible, _dot, require_centered)
 from .maps import IntervalMap
 
 __all__ = [
@@ -324,8 +325,10 @@ def stationary_vector(matrix: csr_matrix) -> np.ndarray:
     return u + d[0]
 
 
-# The one operator LRU, keyed on content (maps, grids and measures are
-# immutable); one run builds Ulam operators at N/4, N/2 and N cells.
+# The one operator LRU, keyed on the map object and on the content of the
+# grid or measure (all immutable); an entry's operator holds its map, so
+# the map's id is not reused while the entry lives.  One run builds Ulam
+# operators at N/4, N/2 and N cells.
 _CACHE_SIZE = 8
 _OP_CACHE: OrderedDict = OrderedDict()
 
@@ -360,7 +363,7 @@ def _memo(op, key: tuple, values: np.ndarray, build):
 
 
 def _ulam(imap: IntervalMap, grid: QuadratureGrid) -> UlamTransferOperator:
-    key = (imap.label, "ulam", _digest(grid.edges, grid.nodes))
+    key = (id(imap), "ulam", _digest(grid.edges, grid.nodes))
     return _cached(_OP_CACHE, key, lambda: UlamTransferOperator(imap, grid))
 
 
@@ -383,7 +386,7 @@ def make_backend(imap: IntervalMap, measure: MeasureDensity, kind: str = "auto")
         return _ulam(imap, measure.grid)
     key = _digest(measure.grid.edges, measure.grid.nodes, measure.values,
                   measure.masses)
-    return _cached(_OP_CACHE, (imap.label, "branch", key),
+    return _cached(_OP_CACHE, (id(imap), "branch", key),
                    lambda: BranchTransferOperator(imap, measure))
 
 
@@ -398,9 +401,11 @@ def resolve_measure(imap: IntervalMap, grid: QuadratureGrid) -> MeasureDensity:
 
 def _backend_for(imap: IntervalMap, nu: MeasureDensity, h: GridFunction,
                  kind: str = "auto"):
-    """``make_backend(imap, nu, kind)`` for an analysis of h, which must be
-    centred under nu; raises InvalidInputError unless the backend's measure
-    has nu's masses, as an Ulam backend on any other measure has not."""
+    """``make_backend(imap, nu, kind)`` for an analysis of h, which must
+    live on nu (IncompatibleGridsError) and be centred under it; raises
+    InvalidInputError unless the backend's measure has nu's masses, as an
+    Ulam backend on any other measure has not."""
+    _check_compatible(h.measure, nu)
     require_centered(h)
     op = make_backend(imap, nu, kind=kind)
     if not np.array_equal(op.measure.masses, nu.masses):

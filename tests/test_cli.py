@@ -230,6 +230,17 @@ def test_report_writes_density_and_decay_data(capsys, tmp_path):
     assert np.array_equal(csv, density)
 
 
+def test_report_is_verify_with_a_density_block(capsys):
+    # the two commands share one set-up and one ensemble step
+    argv = ["--map", "lsv:0.25", "--obs", "lip1", *FAST]
+    verify_code, verify = run_cli(capsys, "verify", *argv)
+    report_code, report = run_cli(capsys, "report", *argv)
+    assert report_code == verify_code
+    assert report.pop("density") == {"measure": "lsv:0.25-ulam-1024",
+                                     "closed_form": False}
+    assert report == verify
+
+
 def test_verify_honours_n_max(capsys):
     code, payload = run_cli(
         capsys, "verify", "--map", "doubling", "--obs", "cos1", *FAST,

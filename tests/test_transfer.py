@@ -5,23 +5,31 @@ import numpy as np
 import pytest
 
 from ergolab import (
+    Branch,
     GridFunction,
+    IntervalMap,
+    MeasureDensity,
     QuadratureGrid,
     build_observable,
     builtin_map,
+    coboundary_detect,
+    decay_report,
     duality_residual,
     gordin,
+    gordin_decompose,
+    integrate,
     invariant_density,
     lp_norm,
     make_backend,
     resolve_measure,
+    sigma_green_kubo,
     transfer,
     transfer_apply,
     ulam_matrix,
 )
 from ergolab.cli import main
-from ergolab.errors import (ConvergenceError, InvalidInputError,
-                            PreconditionError)
+from ergolab.errors import (ConvergenceError, IncompatibleGridsError,
+                            InvalidInputError, PreconditionError)
 from ergolab.transfer import UlamTransferOperator, stationary_vector
 
 
@@ -340,6 +348,49 @@ def test_operator_cache_is_keyed_on_content():
     for grid in (lsv.default_grid(256), _graded(256)) * 2:
         make_backend(lsv, resolve_measure(lsv, grid))
     assert len(transfer._OP_CACHE) == 2
+
+
+def test_unlabelled_maps_do_not_share_operators():
+    # both maps have the empty label; keyed on it, the second got the
+    # first's operator and so the tent map's uniform measure
+    def twice(y):
+        return np.full_like(np.asarray(y, float), 2.0)
+
+    tent = IntervalMap("tent", (0.0, 1.0), [
+        Branch(0.0, 0.5, lambda y: 2.0 * y, lambda x: 0.5 * x, twice),
+        Branch(0.5, 1.0, lambda y: 2.0 - 2.0 * y, lambda x: 1.0 - 0.5 * x,
+               twice)], forward=lambda y: 1.0 - np.abs(2.0 * y - 1.0))
+    lsv = builtin_map("lsv:0.5")
+    like_lsv = IntervalMap("like-lsv", lsv.domain, lsv.branches, lsv.forward)
+    grid = QuadratureGrid.midpoint(0.0, 1.0, 1024)
+    flat = resolve_measure(tent, grid)
+    assert np.allclose(flat.masses, 1 / 1024)
+    assert resolve_measure(like_lsv, grid).masses[0] > 0.009
+    # a repeated spec is one map, so it still shares its operators
+    assert builtin_map("lsv:0.5") is lsv
+
+
+@pytest.mark.parametrize("case", ["finer-grid", "other-measure"])
+@pytest.mark.parametrize("analysis", [sigma_green_kubo, gordin_decompose,
+                                      coboundary_detect, decay_report])
+def test_observable_off_the_measure_is_incompatible(lsv25, monkeypatch, case,
+                                                    analysis):
+    # on a finer grid numpy failed to broadcast; centred under another
+    # measure on nu's grid, the solve ran 1000 steps and did not converge
+    nu = resolve_measure(lsv25, lsv25.default_grid(1024))
+    if case == "finer-grid":
+        mu = resolve_measure(lsv25, lsv25.default_grid(2048))
+    else:
+        mu = MeasureDensity.from_masses(nu.grid, nu.grid.weights, "lebesgue")
+    h = GridFunction.from_callable(lambda y: y, mu)
+    h = h.with_values(h.values - integrate(h))
+
+    def no_apply(self, values):
+        raise AssertionError("the operator ran before the compatibility check")
+
+    monkeypatch.setattr(UlamTransferOperator, "apply", no_apply)
+    with pytest.raises(IncompatibleGridsError):
+        analysis(lsv25, nu, h)
 
 
 def test_one_run_builds_each_ulam_matrix_once(monkeypatch):
