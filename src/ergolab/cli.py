@@ -160,6 +160,7 @@ def _setup(args, need_obs: bool, ensemble: bool) -> tuple:
     obs = build_observable(args.obs, imap, nu) if need_obs else None
     if not ensemble:
         return imap, nu, obs
+    obs.mc_mean  # the orbit centre, computed here so forked workers inherit it
     return (imap, nu, obs, sigma_green_kubo(imap, nu, obs.grid_function),
             run_ensemble(imap, obs, cfg, checkpoints=_n_schedule(args.n)))
 

@@ -15,14 +15,17 @@ supplied invariant measure (``mean``).  The pointwise callable used by
 the Monte Carlo engines is shifted by ``mc_mean``: the same constant for
 a closed-form measure, but for an Ulam measure the limit of the
 quadrature means extrapolated over grid sizes N/4, N/2 and N, so there
-the two centring constants differ (see ``Observable``).  A constant
-observable is centred by its own value, so that both views are exactly 0.
+the two centring constants differ (see ``Observable``).  ``mc_mean`` is
+computed when it is first read and then kept, so the operator analyses,
+which never read it, build no N/4 or N/2 grid.  A constant observable is
+centred by its own value, so that both views are exactly 0.
 """
 
 from __future__ import annotations
 
 import ast
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -124,13 +127,19 @@ class Observable:
     discretization bias (s < 1 for intermittent maps) that a Birkhoff sum
     amplifies by a factor n; ``mc_mean`` is therefore taken from geometric
     extrapolation of the quadrature means over grid sizes N/4, N/2, N.
+    ``mc_mean`` is computed by the zero-argument ``centre`` when it is
+    first read, and then kept.
     """
 
     spec: str
     raw: Callable
     mean: float
     grid_function: GridFunction
-    mc_mean: float
+    centre: Callable[[], float]
+
+    @cached_property
+    def mc_mean(self) -> float:
+        return self.centre()
 
     def __call__(self, y):
         return self.raw(y) - self.mc_mean
@@ -164,15 +173,14 @@ def build_observable(spec: str, imap: IntervalMap,
     """Resolve a spec, sample it on nu's grid and center it."""
     raw = _raw_callable(spec, imap)
     values = np.asarray(raw(nu.grid.nodes), dtype=float)
-    if values.min() == values.max():
-        # a constant is its own mean, which makes h = 0 exactly; the
-        # quadrature sum may round apart and leave a roundoff-level h
-        mean = mc_mean = float(values[0])
+    # a constant is its own mean, which makes h = 0 exactly; the
+    # quadrature sum may round apart and leave a roundoff-level h
+    constant = values.min() == values.max()
+    mean = float(values[0]) if constant else _dot(values, nu.masses)
+    if constant or nu.closed_form:
+        centre = lambda: mean
     else:
-        mean = _dot(values, nu.masses)
-        mc_mean = mean
-        if not nu.closed_form:
-            mc_mean = _extrapolated_mean(raw, imap, nu.grid.size, mean)
+        centre = lambda: _extrapolated_mean(raw, imap, nu.grid.size, mean)
     gf = GridFunction(values - mean, nu)
     return Observable(spec=spec, raw=raw, mean=mean, grid_function=gf,
-                      mc_mean=mc_mean)
+                      centre=centre)

@@ -327,8 +327,8 @@ def stationary_vector(matrix: csr_matrix) -> np.ndarray:
 
 # The one operator LRU, keyed on the map object and on the content of the
 # grid or measure (all immutable); an entry's operator holds its map, so
-# the map's id is not reused while the entry lives.  One run builds Ulam
-# operators at N/4, N/2 and N cells.
+# the map's id is not reused while the entry lives.  An ensemble run builds
+# Ulam operators at N/4, N/2 and N cells, an analysis at N cells only.
 _CACHE_SIZE = 8
 _OP_CACHE: OrderedDict = OrderedDict()
 

@@ -1,4 +1,5 @@
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -305,13 +306,42 @@ def test_constant_observable_passes_the_degenerate_test(capsys):
 
 @pytest.mark.parametrize("command", ["decay", "verify"])
 def test_constant_observable_on_an_ulam_map(capsys, command):
-    # the Monte Carlo centre extrapolates the means on N/4 and N/2 cells,
-    # where a constant expression used to give a 0-d value
+    # decay never reads the orbit centre; verify reads it, and a constant
+    # is its own centre, so neither builds the N/4 and N/2 cells
     code, payload = run_cli(capsys, command, "--map", "lsv:0.25", "--obs",
                             "0", *FAST)
     assert code == 0
     decay = payload if command == "decay" else payload["decay"]
     assert set(decay["flags"].values()) == {"pass"}
+
+
+@pytest.mark.parametrize("command,sizes", [("decay", [1024]),
+                                           ("gordin", [1024]),
+                                           ("verify", [256, 512, 1024])])
+def test_ulam_matrices_built_per_command(capsys, monkeypatch, tmp_path,
+                                         command, sizes):
+    # only the ensemble reads the orbit centre and so builds the N/4 and
+    # N/2 matrices; it reads it before the fork, so every build (one line
+    # "pid cells" in the log, which forked workers append to as well) is
+    # the parent's, once
+    from ergolab import transfer
+
+    log = tmp_path / "built.txt"
+    real = transfer.ulam_matrix
+
+    def counting(imap, grid):
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()} {grid.size}\n")
+        return real(imap, grid)
+
+    monkeypatch.setattr(transfer, "ulam_matrix", counting)
+    transfer._OP_CACHE.clear()
+    code, _ = run_cli(capsys, command, "--map", "lsv:0.25", "--obs", "lip1",
+                      *FAST)
+    assert code == 0
+    built = [line.split() for line in log.read_text().splitlines()]
+    assert {pid for pid, _ in built} == {str(os.getpid())}
+    assert sorted(int(cells) for _, cells in built) == sizes
 
 
 @pytest.mark.parametrize("spec,obs", [("doubling", "2*pi"), ("lsv:0.25", "3")])

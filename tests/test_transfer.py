@@ -394,9 +394,8 @@ def test_observable_off_the_measure_is_incompatible(lsv25, monkeypatch, case,
 
 
 def test_one_run_builds_each_ulam_matrix_once(monkeypatch):
-    # the observable's N/4 and N/2 means and the N-cell backend all hit
-    from ergolab import build_observable, transfer
-
+    # the N-cell measure and backend share one matrix; the observable's
+    # N/4 and N/2 means wait for the first read of its orbit centre
     built = []
     real = transfer.ulam_matrix
     monkeypatch.setattr(transfer, "ulam_matrix",
@@ -405,6 +404,11 @@ def test_one_run_builds_each_ulam_matrix_once(monkeypatch):
     transfer._OP_CACHE.clear()
     m = builtin_map("lsv:0.25")
     nu = resolve_measure(m, m.default_grid(1024))
-    build_observable("lip1", m, nu)
+    obs = build_observable("lip1", m, nu)
     make_backend(m, nu)
-    assert sorted(built) == [256, 512, 1024]
+    assert built == [1024]
+    centre = obs.mc_mean
+    assert built == [1024, 256, 512]
+    assert obs.mc_mean == centre
+    obs(np.array([0.25, 0.5]))
+    assert built == [1024, 256, 512]
