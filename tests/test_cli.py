@@ -444,3 +444,27 @@ def test_module_invocation():
     assert proc.returncode == 0
     payload = json.loads(proc.stdout)
     assert payload["map"] == "chebyshev:2"
+
+
+
+def test_commands_do_not_import_scipy_special():
+    # Phi comes from math.erfc, so scipy.special, with its extension
+    # modules and second OpenBLAS, stays out of the process, limit tests
+    # included
+    pair = ["--map", "doubling", "--obs", "cos1"]
+    runs = [["decay", *pair, "--cells", "1024"],
+            ["gordin", *pair, "--cells", "1024"],
+            ["verify", *pair, *FAST]]
+    script = ("import json, sys\n"
+              "from ergolab import cli\n"
+              "codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]\n"
+              "print(json.dumps([codes, 'scipy.special' in sys.modules]),\n"
+              "      file=sys.stderr)\n")
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps(runs)],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    codes, loaded = json.loads(proc.stderr.splitlines()[-1])
+    assert codes == [0, 0, 0]
+    assert not loaded

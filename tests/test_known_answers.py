@@ -1,0 +1,91 @@
+"""Exact operator answers for trigonometric polynomials on the doubling map.
+
+On doubling, h = sum_k a_k cos(2 pi k y) + b_k sin(2 pi k y) has
+
+    sigma^2 = 1/2 sum_{k odd} [(sum_j a_{k 2^j})^2 + (sum_j b_{k 2^j})^2],
+
+since P sends cos(2 pi k y) to cos(pi k y) for even k and to 0 for odd k,
+and sin likewise:
+each odd k heads a chain k, 2k, 4k, ... that P walks down.  h is a
+coboundary exactly when every chain sum is 0.  With k <= 12 every such h
+is annihilated by P in at most 4 steps, so ``decay`` takes its finite-step
+path, and these cases test sigma^2 and coboundary detection, not the decay
+flags.
+"""
+
+import math
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ergolab import (
+    build_observable,
+    builtin_map,
+    coboundary_detect,
+    resolve_measure,
+    sigma_green_kubo,
+)
+
+K_MAX = 12
+CHAINS = [[k * 2 ** j for j in range(4) if k * 2 ** j <= K_MAX]
+          for k in range(1, K_MAX + 1, 2)]
+# |sigma^2_GK - sigma^2| <= SIGMA2_TOL * (1024/N)^2 * (sum_k |a_k| + |b_k|)^2.
+# The error is the branch backend's linear interpolation at the preimages
+# (transfer._stencil), O((k/N)^2).  sigma^2_GK is a quadratic form in the
+# 24 coefficients, so the error is c^T E c <= max |E_ij| ||c||_1^2; the
+# entries E_ij, measured by polarisation on the single modes and the mode
+# pairs, have max |E_ij| = 3.17e-4 at 1024 cells and 7.94e-5 at 2048 cells
+# (both at the pair sin(6 pi y), sin(24 pi y)).
+SIGMA2_TOL = 3.2e-4
+
+coefficient = st.integers(-8, 8).map(lambda i: i / 8)
+coefficients = st.lists(coefficient, min_size=K_MAX, max_size=K_MAX)
+
+
+def _expression(a, b) -> str:
+    terms = [f"{c!r}*{f}(2*pi*{k}*y)"
+             for f, coef in (("cos", a), ("sin", b))
+             for k, c in enumerate(coef, start=1) if c]
+    return " + ".join(terms)
+
+
+def _sigma2(a, b) -> float:
+    return 0.5 * sum(sum(coef[k - 1] for k in chain) ** 2
+                     for coef in (a, b) for chain in CHAINS)
+
+
+def _zero_chain_sums(coef) -> list:
+    """coef with the last entry of each chain set so that its sum is 0."""
+    out = list(coef)
+    for chain in CHAINS:
+        out[chain[-1] - 1] -= sum(out[k - 1] for k in chain)
+    return out
+
+
+def _check(imap, nu, a, b) -> str:
+    """The coboundary verdict on h, after checking sigma^2_GK on it."""
+    h = build_observable(_expression(a, b), imap, nu).grid_function
+    bound = (SIGMA2_TOL * (1024 / nu.grid.size) ** 2
+             * sum(map(abs, a + b)) ** 2)
+    assert abs(sigma_green_kubo(imap, nu, h).sigma2 - _sigma2(a, b)) <= bound
+    return coboundary_detect(imap, nu, h).verdict
+
+
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(a=coefficients, b=coefficients, cells=st.sampled_from([1024, 2048]),
+       head=st.sampled_from([chain[0] for chain in CHAINS]),
+       offset=st.sampled_from([-1.0, -0.5, -0.25, 0.25, 0.5, 1.0]))
+def test_doubling_trigonometric_sigma2_and_coboundary(a, b, cells, head,
+                                                      offset):
+    imap = builtin_map("doubling")
+    nu = resolve_measure(imap, imap.default_grid(cells))
+    if any(a + b):
+        _check(imap, nu, a, b)
+    a0, b0 = _zero_chain_sums(a), _zero_chain_sums(b)
+    if any(a0 + b0):
+        assert _check(imap, nu, a0, b0) == "true"
+    # one chain sum moved off 0: sigma^2 = offset^2 / 2 > 0
+    a1 = list(a0)
+    a1[head - 1] += offset
+    assert math.isclose(_sigma2(a1, b0), offset ** 2 / 2)
+    assert _check(imap, nu, a1, b0) == "false"

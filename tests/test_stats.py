@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.special import ndtr
 
 from ergolab import (
     EnsembleConfig,
@@ -27,6 +28,49 @@ def test_reference_cdf_oracle_values():
     assert np.isclose(arc(0.5), 0.5)
     assert np.isclose(arc(0.14644660940672627), 0.25)
     assert arc(0.0) == 0.0 and arc(1.0) == 1.0
+
+
+# Phi comes from math.erfc; scipy.special.ndtr is the reference.  The two
+# agree to one unit in the last place of Phi <= 1 (2.2e-16), and 2 Phi - 1
+# doubles that unit on the Brownian supremum.
+NDTR_TOL = 2.3e-16
+
+
+def test_normal_cdf_matches_ndtr():
+    normal = reference_cdf("normal", 1.0)
+    t = np.concatenate([np.linspace(-40.0, 40.0, 80_001),
+                        np.random.default_rng(3).normal(0.0, 3.0, 20_000)])
+    phi = normal(t)
+    assert phi.dtype == float and phi.shape == t.shape
+    assert np.max(np.abs(phi - ndtr(t))) <= NDTR_TOL
+    edges = np.array([0.0, -0.0, np.inf, -np.inf])
+    assert np.array_equal(normal(edges), [0.5, 0.5, 1.0, 0.0])
+    assert np.array_equal(normal(edges), ndtr(edges))
+
+
+@pytest.mark.parametrize("t", [1.25, np.float64(-0.5), np.array(2.0)])
+def test_normal_cdf_of_a_scalar_is_a_0d_array(t):
+    phi = reference_cdf("normal", 1.0)(t)
+    assert isinstance(phi, np.ndarray) and phi.shape == ()
+    assert phi.dtype == float
+    assert abs(float(phi) - float(ndtr(t))) <= NDTR_TOL
+
+
+def test_normal_cdf_of_nan_is_nan():
+    normal = reference_cdf("normal", 1.0)
+    assert np.isnan(normal(np.nan))
+    out = normal(np.array([np.nan, 0.0]))
+    assert np.isnan(out[0]) and out[1] == 0.5
+
+
+def test_brownian_sup_matches_ndtr():
+    sup = reference_cdf("brownian_sup")
+    a = np.linspace(0.0, 40.0, 40_001)
+    assert np.max(np.abs(sup(a) - (2.0 * ndtr(a) - 1.0))) <= 2 * NDTR_TOL
+    assert sup(0.0) == 0.0 and sup(np.inf) == 1.0
+    below = -np.geomspace(1e-300, 40.0, 1000)
+    assert np.array_equal(sup(below), np.zeros_like(below))
+    assert np.array_equal(sup(np.array([-np.inf, -0.0])), [0.0, 0.0])
 
 
 def test_reference_cdf_point_mass_and_errors():
