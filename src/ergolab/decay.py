@@ -30,6 +30,8 @@ __all__ = [
 ]
 
 MARGIN = 0.05  # slack on each exponent threshold
+FLAGS = ("l2_decay_beta_gt_half", "l1_series_summable",  # in report order
+         "cesaro_alpha_lt_half", "coboundary_bounded")
 ZERO_NORM_TOL = 1e-6  # of ||h||_2: the fit window's ||P^n h||_2 reads as 0
 MIN_CLASSIFY_N = 32  # shortest sequences classify_conditions accepts
 PLATEAU_TOL = 0.01  # growth over the last quarter that still reads as flat
@@ -171,12 +173,7 @@ def classify_conditions(map_label: str, observable: str, backend: str,
         # finite-step annihilation (P^k h = 0): every decay condition holds
         # trivially and the fit window contains only roundoff noise; the
         # tolerance scales with ||h||_2 = cesaro[0], and h = 0 lands here.
-        report.flags = {
-            "l2_decay_beta_gt_half": "pass",
-            "l1_series_summable": "pass",
-            "cesaro_alpha_lt_half": "pass",
-            "coboundary_bounded": "pass",
-        }
+        report.flags = dict.fromkeys(FLAGS, "pass")
         report.diagnostics["fast_path"] = "finite-step annihilation"
         return report
 
@@ -188,23 +185,16 @@ def classify_conditions(map_label: str, observable: str, backend: str,
     def verdict(cond):
         return "pass" if cond else "fail"
 
-    if fit_l2 is None:
-        report.flags["l2_decay_beta_gt_half"] = "unknown"
-    else:
-        report.flags["l2_decay_beta_gt_half"] = verdict(fit_l2.exponent < -0.5 - MARGIN)
+    def below(fit, bound):
+        return "unknown" if fit is None else verdict(fit.exponent < bound)
 
     # summability of n^(-1/2) ||P^n h||_2: plateau of the partial sums
     terms = l2 / np.sqrt(np.arange(1, n_max + 1))
     increment, flat = _plateau(np.cumsum(terms))
     report.diagnostics["l1_tail_increment"] = increment
-    report.flags["l1_series_summable"] = verdict(flat)
-
-    if fit_ces is None:
-        report.flags["cesaro_alpha_lt_half"] = "unknown"
-        report.flags["coboundary_bounded"] = "unknown"
-    else:
-        report.flags["cesaro_alpha_lt_half"] = verdict(fit_ces.exponent < 0.5 - MARGIN)
-        report.flags["coboundary_bounded"] = verdict(fit_ces.exponent < MARGIN)
+    report.flags = dict(zip(FLAGS, (
+        below(fit_l2, -0.5 - MARGIN), verdict(flat),
+        below(fit_ces, 0.5 - MARGIN), below(fit_ces, MARGIN))))
     return report
 
 

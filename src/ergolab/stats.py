@@ -46,8 +46,6 @@ _ERFC = np.frompyfunc(math.erfc, 1, 1)
 class KSResult:
     statistic: float
     sample_size: int
-    threshold: Optional[float] = None
-    verdict: Optional[bool] = None
 
 
 def _normal_cdf(t):
@@ -57,21 +55,13 @@ def _normal_cdf(t):
     return phi
 
 
-def _point_mass(t):
-    return (np.asarray(t, dtype=float) >= 0).astype(float)
-
-
 def reference_cdf(name: str, sigma: Optional[float] = None) -> Callable:
     """The CDF of a reference law, a callable on floats and float arrays:
-    normal(sigma), brownian_sup, arcsine, point_mass (normal(0))."""
+    normal(sigma) with sigma > 0, brownian_sup, arcsine."""
     if name == "normal":
-        if sigma is None or sigma < 0:
-            raise ParameterError("normal law needs sigma >= 0")
-        if sigma == 0:
-            return _point_mass
+        if sigma is None or sigma <= 0:
+            raise ParameterError("normal law needs sigma > 0")
         return lambda t: _normal_cdf(t / sigma)
-    if name == "point_mass":
-        return _point_mass
     if name == "brownian_sup":
         return lambda a: np.where(
             a >= 0, 2.0 * _normal_cdf(np.maximum(a, 0.0)) - 1.0, 0.0)
@@ -80,7 +70,7 @@ def reference_cdf(name: str, sigma: Optional[float] = None) -> Callable:
     raise ParameterError(f"unknown reference law {name!r}")
 
 
-def ks_statistic(samples, cdf, threshold: Optional[float] = None) -> KSResult:
+def ks_statistic(samples, cdf) -> KSResult:
     """Two-sided Kolmogorov-Smirnov distance to a reference law."""
     samples = np.asarray(samples, dtype=float)
     if samples.size < 100:
@@ -92,15 +82,15 @@ def ks_statistic(samples, cdf, threshold: Optional[float] = None) -> KSResult:
     n = x.size
     i = np.arange(1, n + 1)
     stat = float(max(np.max(i / n - fx), np.max(fx - (i - 1) / n)))
-    verdict = None if threshold is None else bool(stat < threshold)
-    return KSResult(stat, n, threshold, verdict)
+    return KSResult(stat, n)
 
 
 def _ks_entry(name: str, samples, cdf, threshold: float) -> dict:
-    """One report entry: the KS statistic of samples against cdf."""
-    ks = ks_statistic(samples, cdf, threshold=threshold)
-    return {"name": name, "statistic": ks.statistic,
-            "threshold": ks.threshold, "verdict": ks.verdict}
+    """One report entry: the KS statistic of samples against cdf, which
+    passes below the threshold."""
+    stat = ks_statistic(samples, cdf).statistic
+    return {"name": name, "statistic": stat, "threshold": threshold,
+            "verdict": stat < threshold}
 
 
 def clt_threshold(samples: int, n: int) -> float:

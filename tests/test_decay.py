@@ -110,6 +110,32 @@ def test_classify_failure_on_slow_synthetic():
     assert report.flags["coboundary_bounded"] == "fail"
 
 
+def test_failed_l2_fit_reads_unknown():
+    # a zero inside the fit window [8, 64] makes the log-log fit fail
+    n = np.arange(1, 65, dtype=float)
+    l2 = n**-1.0
+    l2[20] = 0.0
+    report = classify_conditions("synthetic", "h", "none", l2.copy(), l2,
+                                 np.cumsum(n**-1.0))
+    assert report.flags["l2_decay_beta_gt_half"] == "unknown"
+    assert "l2" not in report.to_json()["fits"]
+    assert "unknown" not in (report.flags["l1_series_summable"],
+                             report.flags["cesaro_alpha_lt_half"],
+                             report.flags["coboundary_bounded"])
+
+
+def test_failed_cesaro_fit_reads_unknown():
+    n = np.arange(1, 65, dtype=float)
+    l2 = n**-1.0
+    ces = np.cumsum(l2)
+    ces[20] = 0.0
+    report = classify_conditions("synthetic", "h", "none", l2.copy(), l2, ces)
+    assert report.flags["cesaro_alpha_lt_half"] == "unknown"
+    assert report.flags["coboundary_bounded"] == "unknown"
+    assert report.flags["l2_decay_beta_gt_half"] == "pass"
+    assert "cesaro" not in report.to_json()["fits"]
+
+
 @pytest.mark.parametrize("n_max", [0, -1])
 def test_cesaro_needs_one_term(doubling, doubling_nu, n_max):
     h = build_observable("cos1", doubling, doubling_nu).grid_function

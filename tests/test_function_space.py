@@ -95,6 +95,17 @@ def test_exact_cdf_masses():
     assert abs(integrate(f) - 0.5) < 2e-4
 
 
+def test_masses_without_a_cdf_are_pdf_times_width():
+    # 3y integrates to 3/2 on [0, 1]; the midpoint masses 3 y_k / 8 are
+    # normalised to (2k + 1) / 64
+    grid = QuadratureGrid.midpoint(0.0, 1.0, 8)
+    nu = MeasureDensity.from_callable(grid, lambda y: 3.0 * np.asarray(y),
+                                      name="linear")
+    assert np.allclose(nu.masses, (2 * np.arange(8) + 1) / 64, atol=1e-15)
+    assert np.array_equal(nu.values, 3.0 * grid.nodes)
+    assert nu.closed_form
+
+
 def test_measure_rejects_unnormalized():
     grid = QuadratureGrid.midpoint(0.0, 1.0, 16)
     with pytest.raises(InvalidInputError):

@@ -16,6 +16,12 @@ def test_parse_unary_minus():
     assert np.isclose(f(0.5), -0.5 + 1.0)
 
 
+def test_parse_unary_plus():
+    y = np.linspace(0, 1, 5)
+    assert np.array_equal(parse_expression("+y")(y), y)
+    assert np.array_equal(parse_expression("-(+y)")(y), -y)
+
+
 def test_parse_rejects_unsafe_constructs():
     for text in [
         "__import__('os')",
