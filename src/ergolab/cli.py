@@ -56,9 +56,6 @@ EXIT_CONVERGENCE = 3
 EXIT_ANALYSIS = 4
 EXIT_VERIFY = 5
 
-# estimates below this fraction of ||h||_2 are routed to coboundary detection
-SIGMA_SMALL_FRACTION = 0.05
-
 
 def _load_config(path: str) -> dict:
     out = {}
@@ -209,19 +206,15 @@ def _limit_tests(args, imap, nu, obs, run, sigma_values: dict):
     """The CLT test over one run, and the FCLT tests too when sigma > 0,
     except for ``clt``.
 
-    A declared or near-zero-sigma observable goes to coboundary detection
-    first; a detected coboundary takes the degenerate test (sigma = 0).
-    Returns (report dict, paths or None, detection or None).
+    Coboundary detection runs on every observable and is the only rule that
+    sets sigma to 0: a detected coboundary, or a Green-Kubo sigma that is
+    already 0, takes the degenerate test on the checkpoints.
+    Returns (report dict, paths or None, detection).
     """
-    h = obs.grid_function
-    h_l2 = lp_norm(h, 2)
-    sigma = sigma_values["green_kubo"]
-    coboundary = None
-    if sigma <= SIGMA_SMALL_FRACTION * h_l2 or obs.is_declared_coboundary:
-        coboundary = coboundary_detect(imap, nu, h)
-        if coboundary.is_coboundary:
-            sigma = 0.0
-    tests = [clt_test(run.S, run.n, sigma, h_l2=h_l2)]
+    coboundary = coboundary_detect(imap, nu, obs.grid_function)
+    sigma = 0.0 if coboundary.is_coboundary else sigma_values["green_kubo"]
+    tests = [clt_test(run.S, run.n, sigma,
+                      checkpoints=(run.checkpoint_ns, run.checkpoints))]
     paths = None
     if args.command != "clt" and sigma > 0:
         paths = PathEnsemble.from_run(run, sigma, args.m)

@@ -144,10 +144,6 @@ class Observable:
     def __call__(self, y):
         return self.raw(y) - self.mc_mean
 
-    @property
-    def is_declared_coboundary(self) -> bool:
-        return self.spec.strip().startswith("coboundary:")
-
 
 def _extrapolated_mean(raw: Callable, imap: IntervalMap, n_cells: int,
                        mean: float) -> float:

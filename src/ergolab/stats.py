@@ -35,7 +35,7 @@ __all__ = [
 ]
 
 DEGENERATE_QUANTILE = 0.99
-DEGENERATE_FRACTION = 0.05
+DEGENERATE_EXPONENT = 0.25  # bound on the growth exponent of q99|S_k|
 C_BE = 1.0  # the Berry-Esseen-style constant of the finite-n allowance
 FCLT_ALLOWANCE = 0.01  # added to the sup and occupation thresholds
 
@@ -98,26 +98,27 @@ def clt_threshold(samples: int, n: int) -> float:
 
 
 def clt_test(birkhoff_sums, n: int, sigma: float,
-             h_l2: Optional[float] = None) -> dict:
+             checkpoints: tuple = ((), None)) -> dict:
     """KS of S_n/sqrt(n) against normal(sigma).
 
-    With sigma = 0 (a coboundary) the normal limit degenerates to the
-    point mass at 0; the test then requires the 0.99 quantile of
-    |S_n/sqrt(n)| to stay below 5% of ||h||_2, or to be exactly 0, as for a
-    constant h, whose bound is 0 too.
+    With sigma = 0 (a coboundary) the sums stay bounded, and the test reads
+    ``checkpoints``, the pair (k list, sums of shape (samples, len(k))): the
+    least-squares slope of log q99|S_k| against log k must stay below
+    DEGENERATE_EXPONENT.  Sums that are all 0, as for a constant h, read 0.
     """
-    z = np.asarray(birkhoff_sums, dtype=float) / np.sqrt(n)
     if sigma == 0.0:
-        if h_l2 is None:
-            raise PreconditionError("degenerate test needs ||h||_2")
-        q = float(np.quantile(np.abs(z), DEGENERATE_QUANTILE))
-        bound = DEGENERATE_FRACTION * h_l2
-        return {
-            "name": "clt_degenerate",
-            "statistic": q,
-            "threshold": bound,
-            "verdict": bool(q < bound or q == 0.0),
-        }
+        ks, sums = checkpoints
+        if len(ks) < 2:
+            raise PreconditionError("degenerate test needs two checkpoints")
+        q = np.quantile(np.abs(sums), DEGENERATE_QUANTILE, axis=0)
+        if q.any() and not q.all():
+            raise PreconditionError("q99|S_k| is 0 at some checkpoints only")
+        slope = (float(np.polyfit(np.log(ks), np.log(q), 1)[0]) if q.all()
+                 else 0.0)
+        return {"name": "clt_degenerate", "statistic": slope,
+                "threshold": DEGENERATE_EXPONENT,
+                "verdict": slope < DEGENERATE_EXPONENT}
+    z = np.asarray(birkhoff_sums, dtype=float) / np.sqrt(n)
     return _ks_entry("clt_normal", z, reference_cdf("normal", sigma),
                      clt_threshold(z.size, n))
 

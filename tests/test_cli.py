@@ -106,6 +106,15 @@ def test_unknown_config_key_rejected(capsys, tmp_path):
     assert code == 2
 
 
+def test_config_line_without_equals_is_config_error(capsys, tmp_path):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("# a comment\n\nmap = doubling\nobs cos1\n")
+    assert main(["decay", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "bad config line: 'obs cos1'" in captured.err
+
+
 @pytest.mark.parametrize("key,value", [("command", "report"),
                                        ("handler", "x"),
                                        ("config", "other.cfg")])
@@ -174,7 +183,8 @@ def test_verify_passes_on_doubling(capsys):
     names = [t["name"] for t in payload["tests"]]
     assert names == ["clt_normal", "fclt_terminal", "fclt_sup",
                      "fclt_occupation"]
-    assert payload["coboundary"] is None
+    # every limit test runs coboundary detection, which rejects cos1
+    assert payload["coboundary"]["verdict"] == "false"
     assert payload["gordin"]["sigma_mart"] > 0
 
 
@@ -276,8 +286,7 @@ def test_burnin_below_floor_is_config_error(capsys):
 
 
 def test_verify_routes_coboundary_to_degenerate_test(capsys):
-    # the sum of a coboundary stays bounded, so S_n / sqrt(n) only drops
-    # below the degenerate threshold once n is reasonably large
+    # the sum of a coboundary stays bounded at a longer n too
     argv = [a if a != "512" else "4096" for a in FAST]
     code, payload = run_cli(
         capsys, "verify", "--map", "doubling", "--obs", "coboundary:cos1",
@@ -290,10 +299,6 @@ def test_verify_routes_coboundary_to_degenerate_test(capsys):
     assert payload["verdict"] is True
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-    "CHANGES.md FOUND on the degenerate limit test, ROADMAP item 16: the "
-    "0.99 quantile of |S_n/sqrt(n)| reads 0.0873 against 0.05 at n = 512, "
-    "so verify exits 5"))
 def test_true_coboundary_passes_the_degenerate_test_at_small_n(capsys):
     code, payload = run_cli(
         capsys, "verify", "--map", "doubling", "--obs", "coboundary:cos1",
@@ -302,16 +307,41 @@ def test_true_coboundary_passes_the_degenerate_test_at_small_n(capsys):
     assert code == 0
 
 
+def test_degenerate_statistic_does_not_depend_on_the_scale(capsys):
+    # the growth exponent of q99|S_k| is scale-free, like the detection
+    stats = []
+    for obs in ("coboundary:cos1", "coboundary:1000*cos(2*pi*y)"):
+        code, payload = run_cli(capsys, "verify", "--map", "doubling",
+                                "--obs", obs, *FAST)
+        assert code == 0
+        assert payload["coboundary"]["verdict"] == "true"
+        [test] = payload["tests"]
+        assert test["name"] == "clt_degenerate"
+        stats.append(test["statistic"])
+    assert abs(stats[0]) < 0.05
+    assert np.isclose(stats[0], stats[1], rtol=1e-9, atol=0.0)
+
+
+def test_degenerate_test_needs_two_checkpoints(capsys):
+    # n = 1 has the one checkpoint 1, which gives no growth exponent: an
+    # analysis error
+    argv = [a if a != "512" else "1" for a in FAST]
+    code = main(["verify", "--map", "doubling", "--obs", "coboundary:cos1",
+                 *argv])
+    out, err = capsys.readouterr()
+    assert (code, out) == (4, "")
+    assert "analysis error" in err and "two checkpoints" in err
+
+
 def test_constant_observable_passes_the_degenerate_test(capsys):
-    # S_n is 0 for every orbit, and the degenerate bound 5% of ||h||_2 is 0
+    # S_k is 0 for every orbit at every checkpoint, which reads 0
     code, payload = run_cli(capsys, "verify", "--map", "doubling", "--obs",
                             "0", *FAST)
     assert code == 0
     assert payload["tests"] == [{"name": "clt_degenerate", "statistic": 0.0,
-                                 "threshold": 0.0, "verdict": True}]
+                                 "threshold": 0.25, "verdict": True}]
     assert payload["verdict"] is True
-    # sigma = 0 = 5% of ||h||_2 routes h = 0, the trivial coboundary, to
-    # coboundary detection
+    # h = 0 is the trivial coboundary
     assert payload["coboundary"]["verdict"] == "true"
     assert payload["coboundary"]["residual"] == 0.0
 
@@ -369,7 +399,7 @@ def test_nonzero_constant_observable_is_centred_exactly(capsys, spec, obs):
                             *FAST)
     assert code == 0
     assert payload["tests"] == [{"name": "clt_degenerate", "statistic": 0.0,
-                                 "threshold": 0.0, "verdict": True}]
+                                 "threshold": 0.25, "verdict": True}]
     assert payload["coboundary"]["verdict"] == "true"
 
 

@@ -42,6 +42,12 @@ def test_requires_centered_observable(doubling, doubling_nu):
         norm_decay_sequence(doubling, doubling_nu, h, 2, 8)
 
 
+def test_norm_decay_sequence_needs_two_terms(doubling, doubling_nu):
+    h = build_observable("cos1", doubling, doubling_nu).grid_function
+    with pytest.raises(PreconditionError, match="n_max must be >= 2"):
+        norm_decay_sequence(doubling, doubling_nu, h, 2, 1)
+
+
 def test_unsupported_exponent_raises_before_any_apply(doubling, doubling_nu,
                                                      monkeypatch):
     h = build_observable("cos1", doubling, doubling_nu).grid_function

@@ -20,7 +20,7 @@ from ergolab import (
     resolve_measure,
 )
 from ergolab.errors import PreconditionError
-from ergolab.function_space import require_centered
+from ergolab.function_space import require_centered, weighted_norm
 
 
 def uniform_measure(n=64):
@@ -29,6 +29,27 @@ def uniform_measure(n=64):
         grid, lambda y: np.ones_like(np.asarray(y, float)), name="uniform",
         cdf=lambda y: np.asarray(y, float),
     )
+
+
+def test_measure_and_grid_function_reject_bad_arrays():
+    grid = QuadratureGrid.midpoint(0.0, 1.0, 4)
+    flat = np.full(4, 0.25)
+    for values, masses in [(np.ones(3), flat),  # one value too few
+                           (np.ones(4), np.full(5, 0.2)),  # one mass too many
+                           (np.array([2.0, -1.0, 1.0, 2.0]), flat),
+                           (np.array([1.0, np.nan, 1.0, 1.0]), flat)]:
+        with pytest.raises(InvalidInputError):
+            MeasureDensity(grid, values, masses)
+    with pytest.raises(InvalidInputError):
+        GridFunction(np.zeros(3), MeasureDensity(grid, np.ones(4), flat))
+
+
+def test_weighted_norm_exponents():
+    values, masses = np.array([3.0, -4.0]), np.array([0.5, 0.5])
+    assert weighted_norm(values, masses, 1) == 3.5
+    assert weighted_norm(values, masses, np.inf) == 4.0
+    with pytest.raises(InvalidInputError, match="unsupported exponent 3"):
+        weighted_norm(values, masses, 3)
 
 
 def test_midpoint_grid_layout():

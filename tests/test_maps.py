@@ -27,6 +27,9 @@ def test_builtin_map_spec_strings():
         builtin_map("lsv:abc")
     with pytest.raises(ConfigurationError):
         builtin_map("nosuchmap")
+    for spec in ("lsv:0", "lsv:-0.5", "manneville_pomeau:0", "chebyshev:1"):
+        with pytest.raises(ConfigurationError):
+            builtin_map(spec)  # parameter out of range
 
 
 def test_doubling_forward():

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from ergolab import build_observable, integrate, parse_expression
+from ergolab import (build_observable, integrate, parse_expression,
+                     resolve_measure)
 from ergolab.errors import ParameterError
 
 
@@ -59,7 +60,6 @@ def test_cos_builtins(doubling, doubling_nu):
 
 def test_coboundary_spec(doubling, doubling_nu):
     obs = build_observable("coboundary:cos1", doubling, doubling_nu)
-    assert obs.is_declared_coboundary
     y = np.linspace(0.01, 0.49, 9)
     expected = np.cos(4 * np.pi * y) - np.cos(2 * np.pi * y)
     assert np.allclose(obs.raw(y), expected)
@@ -79,6 +79,16 @@ def test_mc_mean_extrapolated_for_ulam_measures(lsv25, lsv25_nu):
     assert obs.mc_mean != obs.mean
     assert abs(obs.mc_mean - 0.45608) < 3e-4
     assert abs(obs.mean - obs.mc_mean) < 5e-4
+
+
+@pytest.mark.parametrize("cells", [1022, 128])
+def test_mc_mean_keeps_the_quadrature_mean_off_the_dyadic_grids(lsv25, cells):
+    # the N/4 and N/2 grids are built only for N divisible by 4 and at
+    # least 256; otherwise the orbit centre is the quadrature mean
+    nu = resolve_measure(lsv25, lsv25.default_grid(cells))
+    obs = build_observable("lip1", lsv25, nu)
+    assert not nu.closed_form
+    assert obs.mc_mean == obs.mean
 
 
 def test_constant_expression_broadcasts(doubling, doubling_nu):

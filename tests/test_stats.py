@@ -14,6 +14,7 @@ from ergolab import (
     run_ensemble,
 )
 from ergolab.errors import InvalidInputError, ParameterError, PreconditionError
+from ergolab.stats import DEGENERATE_EXPONENT
 
 
 def test_reference_cdf_oracle_values():
@@ -74,8 +75,8 @@ def test_brownian_sup_matches_ndtr():
 
 
 def test_reference_cdf_point_mass_and_errors():
-    # the point mass is no reference law: clt_test(S, n, 0.0, h_l2=...)
-    # runs the degenerate test by its own quantile rule
+    # the point mass is no reference law: clt_test(S, n, 0.0, checkpoints=...)
+    # runs the degenerate test by its own growth rule
     with pytest.raises(ParameterError):
         reference_cdf("point_mass")
     with pytest.raises(ParameterError):
@@ -132,16 +133,54 @@ def test_clt_test_scaling_invariance():
     assert a["verdict"] and b["verdict"]
 
 
+def _checkpoints(scale, exponent, samples=2000):
+    """Gaussian sums whose spread grows like k**exponent, at k = 256..4096."""
+    ks = [256, 512, 1024, 2048, 4096]
+    z = np.random.default_rng(3).normal(size=(samples, 1))
+    return ks, z * scale * np.asarray(ks, dtype=float) ** exponent
+
+
 def test_clt_test_degenerate_branch():
+    # bounded sums pass at any scale; sums that grow like sqrt(k), the
+    # sign of sigma > 0, fail however small they are
     n = 4096
-    tiny = np.random.default_rng(3).normal(scale=0.001 * np.sqrt(n), size=2000)
-    res = clt_test(tiny, n, 0.0, h_l2=1.0)
-    assert res["name"] == "clt_degenerate"
-    assert res["verdict"]
-    big = np.random.default_rng(3).normal(scale=0.5 * np.sqrt(n), size=2000)
-    assert not clt_test(big, n, 0.0, h_l2=1.0)["verdict"]
+    for scale in (1e-6, 1.0, 1e6):
+        bounded = _checkpoints(scale, 0.0)
+        res = clt_test(bounded[1][:, -1], n, 0.0, checkpoints=bounded)
+        assert res["name"] == "clt_degenerate"
+        assert abs(res["statistic"]) < 1e-12
+        assert res["threshold"] == DEGENERATE_EXPONENT
+        assert res["verdict"]
+        big = _checkpoints(scale * 1e-3, 0.5)
+        res = clt_test(big[1][:, -1], n, 0.0, checkpoints=big)
+        assert np.isclose(res["statistic"], 0.5)
+        assert not res["verdict"]
+    ks, sums = _checkpoints(1.0, 0.0)
     with pytest.raises(PreconditionError):
-        clt_test(tiny, n, 0.0)
+        clt_test(sums[:, -1], n, 0.0, checkpoints=(ks[-1:], sums[:, -1:]))
+    with pytest.raises(PreconditionError):
+        clt_test(sums[:, -1], n, 0.0)
+    # sums that are all 0 (a constant h) read 0 and pass; 0 at some
+    # checkpoints only has no growth exponent
+    res = clt_test(sums[:, -1], n, 0.0, checkpoints=(ks, 0.0 * sums))
+    assert (res["statistic"], res["verdict"]) == (0.0, True)
+    sums[:, 0] = 0.0
+    with pytest.raises(PreconditionError):
+        clt_test(sums[:, -1], n, 0.0, checkpoints=(ks, sums))
+
+
+def test_degenerate_test_fails_when_sigma_is_positive():
+    # doubling/cos1 has sigma^2 = 1/2: claiming sigma = 0 on its run's
+    # checkpoints must fail at every seed
+    imap = builtin_map("doubling")
+    ks = [32, 64, 128, 256, 512]
+    for seed in range(1, 11):
+        cfg = EnsembleConfig(samples=5000, n=512, seed=seed)
+        run = run_ensemble(imap, lambda y: np.cos(2 * np.pi * y), cfg,
+                           checkpoints=ks)
+        res = clt_test(run.S, run.n, 0.0,
+                       checkpoints=(run.checkpoint_ns, run.checkpoints))
+        assert not res["verdict"], (seed, res)
 
 
 def _doubling_paths(sigma=np.sqrt(0.5)):

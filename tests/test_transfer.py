@@ -28,8 +28,9 @@ from ergolab import (
     ulam_matrix,
 )
 from ergolab.cli import main
-from ergolab.errors import (ConvergenceError, IncompatibleGridsError,
-                            InvalidInputError, PreconditionError)
+from ergolab.errors import (ConvergenceError, DegenerateMeasureError,
+                            IncompatibleGridsError, InvalidInputError,
+                            PreconditionError)
 from ergolab.transfer import UlamTransferOperator, stationary_vector
 
 
@@ -237,6 +238,15 @@ def test_branch_backend_needs_a_pdf():
     lsv = builtin_map("lsv:0.25")
     with pytest.raises(InvalidInputError):
         make_backend(lsv, invariant_density(lsv, 256), kind="branch")
+
+
+def test_branch_backend_needs_a_positive_density(doubling):
+    # the preimage sums divide by the density at every node
+    grid = doubling.default_grid(64)
+    nu = MeasureDensity.from_callable(
+        grid, lambda y: 2.0 * (np.asarray(y, float) > 0.5), name="half")
+    with pytest.raises(DegenerateMeasureError):
+        make_backend(doubling, nu, kind="branch")
 
 
 def test_doubling_fourier_cascade(doubling, doubling_nu):
